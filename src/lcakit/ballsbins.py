@@ -14,6 +14,7 @@ even failures are deterministic and query-order oblivious.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -99,6 +100,8 @@ class AlwaysGoLeft(DecisionRule):
     def validate(self, bc):
         if bc.group_of is None:
             raise ValueError("always-go-left needs an instance with bin groups")
+        if not bc.choices_follow_groups:
+            raise ValueError("always-go-left needs every ball's i-th choice in group i")
 
     def choose(self, bc, ball, load_of):
         best = None
@@ -122,7 +125,7 @@ class CapacityWeighted(DecisionRule):
     def validate(self, bc):
         if bc.capacities is None:
             raise ValueError("capacity rule needs an instance with capacities")
-        if any(c == 0 for c in bc.capacities):
+        if not bc.capacities_positive:
             raise ValueError("capacity rule needs strictly positive capacities")
 
     def choose(self, bc, ball, load_of):
@@ -141,7 +144,7 @@ class CapacityWeighted(DecisionRule):
         return best
 
 
-class CircleNearest(DecisionRule):
+class CircleNearest(LeastLoaded):
     """Least loaded of the d nearest-point bins (choices are the nearest
     bins by construction); ties go to the lowest bin id."""
 
@@ -150,15 +153,6 @@ class CircleNearest(DecisionRule):
     def validate(self, bc):
         if bc.positions is None:
             raise ValueError("circle rule needs an instance with bin positions")
-
-    def choose(self, bc, ball, load_of):
-        best = None
-        best_key = None
-        for u in bc.choices_of(ball):
-            key = (load_of(u), u)
-            if best_key is None or key < best_key:
-                best, best_key = u, key
-        return best
 
 
 RULES: dict[str, DecisionRule] = {
@@ -254,8 +248,10 @@ def _percentile(sorted_values: Sequence[int], q: float) -> int:
     """Nearest-rank percentile of a pre-sorted sequence."""
     if not sorted_values:
         raise ValueError("need at least one value")
-    idx = max(0, min(len(sorted_values) - 1, -(-int(q * len(sorted_values)) // 1) - 1))
-    return sorted_values[idx]
+    # the smallest value with at least q of the values at or below it; the
+    # rounding drops float noise such as 0.7 * 10 == 7.000000000000001
+    rank = math.ceil(round(q * len(sorted_values), 9))
+    return sorted_values[max(0, min(len(sorted_values), rank) - 1)]
 
 
 def max_load_report(

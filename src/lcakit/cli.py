@@ -350,6 +350,12 @@ def gw_sim_cmd(ctx, mode, d, big_l, n, q, trials, cap, slope_range):
         raise click.UsageError("regular mode needs d < L (subcritical)")
     if mode == "binomial" and n * q >= 1:
         raise click.UsageError("binomial mode needs n*q < 1 (subcritical)")
+    try:
+        lo, hi = (int(x) for x in slope_range.split(","))
+    except ValueError:
+        raise click.BadParameter(
+            "expected 'lo,hi' integers", param_hint="'--slope-range'"
+        ) from None
     jobs = ctx.obj["jobs"]
     bounds = [trials * i // jobs for i in range(jobs + 1)]
     args = [
@@ -361,7 +367,6 @@ def gw_sim_cmd(ctx, mode, d, big_l, n, q, trials, cap, slope_range):
     for chunk in _parallel_map(_gw_worker, args, jobs):
         sizes.extend(chunk)
     stats = stats_from_sizes(sizes)
-    lo, hi = (int(x) for x in slope_range.split(","))
     try:
         slope = tail_slope(sizes, lo, hi)
     except ValueError:
@@ -398,7 +403,7 @@ def gw_sim_cmd(ctx, mode, d, big_l, n, q, trials, cap, slope_range):
 @click.option("--trials", type=click.IntRange(1), default=1, show_default=True)
 @click.option("--ordering", type=click.Choice(["full", "kwise"]), default="full")
 @click.option("--kwise-k", type=click.IntRange(1), default=32, show_default=True)
-@click.option("--failure-budget", type=float, default=0.01, show_default=True)
+@click.option("--failure-budget", type=click.FloatRange(0), default=0.01, show_default=True)
 @click.pass_context
 def matching_cmd(ctx, n, d, cap, edge, trials, ordering, kwise_k, failure_budget):
     """Per-edge matching verdicts or full-matching summaries with probe stats."""
@@ -573,7 +578,7 @@ def _load_instance_params(kind: str, input_path: str):
               default=None, help="hypergraph file to color instead of generating")
 @click.option("--trials", type=click.IntRange(1), default=1, show_default=True)
 @click.option("--strict/--lenient", "strict", default=True, show_default=True)
-@click.option("--failure-budget", type=float, default=0.01, show_default=True)
+@click.option("--failure-budget", type=click.FloatRange(0), default=0.01, show_default=True)
 @click.pass_context
 def coloring_cmd(ctx, m, n, k, d, input_path, trials, strict, failure_budget):
     """Query-complete hypergraph 2-colorings with validity checking."""
@@ -598,7 +603,7 @@ def coloring_cmd(ctx, m, n, k, d, input_path, trials, strict, failure_budget):
               default=None, help="DIMACS file to satisfy instead of generating")
 @click.option("--trials", type=click.IntRange(1), default=1, show_default=True)
 @click.option("--strict/--lenient", "strict", default=True, show_default=True)
-@click.option("--failure-budget", type=float, default=0.01, show_default=True)
+@click.option("--failure-budget", type=click.FloatRange(0), default=0.01, show_default=True)
 @click.pass_context
 def ksat_cmd(ctx, m, n, k, d, input_path, trials, strict, failure_budget):
     """Query-complete satisfying assignments with validity checking."""
@@ -624,7 +629,7 @@ def ksat_cmd(ctx, m, n, k, d, input_path, trials, strict, failure_budget):
 @click.option("--cap-constant", type=click.IntRange(1), default=ballsbins.DEFAULT_CAP_CONSTANT,
               show_default=True)
 @click.option("--trials", type=click.IntRange(1), default=1, show_default=True)
-@click.option("--failure-budget", type=float, default=0.01, show_default=True)
+@click.option("--failure-budget", type=click.FloatRange(0), default=0.01, show_default=True)
 @click.pass_context
 def balls_bins_cmd(ctx, n, m, d, rule, capacities, cap_constant, trials, failure_budget):
     """Local load balancing: failure rate, max-load and probe statistics."""
@@ -639,7 +644,12 @@ def balls_bins_cmd(ctx, n, m, d, rule, capacities, cap_constant, trials, failure
     if scheme == "capacity":
         if capacities is not None:
             with open(capacities) as fh:
-                caps = [int(line.strip()) for line in fh if line.strip()]
+                try:
+                    caps = [int(line) for line in fh if line.strip()]
+                except ValueError:
+                    raise click.BadParameter(
+                        "every non-blank line must be one integer", param_hint="'--capacities'"
+                    ) from None
         else:
             base, extra = divmod(n, m)
             caps = [base + (1 if i < extra else 0) for i in range(m)]

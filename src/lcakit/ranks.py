@@ -134,13 +134,24 @@ def next_prime(n: int) -> int:
     return c
 
 
+@lru_cache(maxsize=1024)
+def _prefix(master_key: bytes, ensemble_index: int, domain: bytes, size: int):
+    """Keyed BLAKE2b state with the ensemble index and the length-prefixed
+    domain already fed in.  Keying costs as much as hashing a short payload,
+    so each (seed, domain, size) is keyed once and copied per hash.  The
+    returned state is shared: callers ``.copy()`` it and never update it.
+    The cache key holds only bytes and ints, which hash in C."""
+    h = hashlib.blake2b(key=master_key, digest_size=size)
+    h.update(ensemble_index.to_bytes(8, "big"))
+    h.update(len(domain).to_bytes(2, "big"))
+    h.update(domain)
+    return h
+
+
 def _digest(seed: Seed, domain: bytes, payload: bytes, size: int) -> bytes:
     """Keyed, domain-separated hash. The domain is length-prefixed so that
     distinct (domain, payload) splits can never collide."""
-    h = hashlib.blake2b(key=seed.master_key, digest_size=size)
-    h.update(seed.ensemble_index.to_bytes(8, "big"))
-    h.update(len(domain).to_bytes(2, "big"))
-    h.update(domain)
+    h = _prefix(seed.master_key, seed.ensemble_index, domain, size).copy()
     h.update(payload)
     return h.digest()
 

@@ -4,6 +4,7 @@ from lcakit.ballsbins import (
     RULES,
     Assignment,
     LoadProfile,
+    _percentile,
     assign_all,
     assign_query,
     default_cap,
@@ -61,6 +62,39 @@ class TestRules:
         )
         with pytest.raises(ValueError, match="positive"):
             assign_query(bc, 0, RULES["capacity"], SEED)
+
+    def test_always_go_left_rejects_misgrouped_choices(self):
+        # ball 1's first choice, bin 3, lies in group 1 instead of group 0
+        bc = BipartiteChoices.from_choices(
+            2, 4, 2, [(0, 2), (3, 1)], group_of=[0, 0, 1, 1]
+        )
+        with pytest.raises(ValueError, match="group"):
+            assign_query(bc, 0, RULES["always-go-left"], SEED)
+        with pytest.raises(ValueError, match="group"):
+            run_global(bc, RULES["always-go-left"], SEED)
+
+    def test_instance_checks_scan_once_per_instance(self):
+        class CountingTuple(tuple):
+            scans = 0
+
+            def __iter__(self):
+                CountingTuple.scans += 1
+                return super().__iter__()
+
+        base = gen_bipartite_choices(SEED, 50, 50, 2, "grouped")
+        bc = BipartiteChoices(
+            base.n_balls,
+            base.m_bins,
+            base.d,
+            CountingTuple(base.choices),
+            base.bin_incidence,
+            capacities=CountingTuple([1] * 50),
+            group_of=base.group_of,
+        )
+        for rule in ("capacity", "always-go-left"):
+            for ball in range(10):
+                assign_query(bc, ball, RULES[rule], SEED)
+        assert CountingTuple.scans == 2  # one capacity scan, one choices scan
 
     def test_circle_requires_positions(self):
         bc = gen_bipartite_choices(SEED, 10, 10, 2, "uniform")
@@ -185,6 +219,13 @@ class TestMaxLoadReport:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             max_load_report({"r": []})
+
+    def test_percentile_is_nearest_rank(self):
+        assert _percentile([1, 2, 3], 0.50) == 2
+        assert _percentile(list(range(1, 11)), 0.95) == 10
+        assert _percentile(list(range(1, 11)), 0.70) == 7
+        assert _percentile([4, 9], 0.0) == 4
+        assert _percentile([4, 9], 1.0) == 9
 
     def test_capacity_uniform_degenerates_to_least_loaded(self):
         # with equal capacities the relative-load rule IS least-loaded:

@@ -149,6 +149,31 @@ class TestExitCodes:
         )
         assert result.exit_code == EXIT_BUDGET
 
+    def test_non_integer_capacity_line_is_usage_error(self, runner, tmp_path):
+        caps = tmp_path / "caps.txt"
+        caps.write_text("5\nfive\n")
+        result = runner.invoke(
+            main,
+            ["--seed", SEED_HEX, "balls-bins", "--n", "10", "--m", "2",
+             "--rule", "capacity", "--capacities", str(caps)],
+        )
+        assert result.exit_code == 2
+        assert "--capacities" in result.output
+
+    @pytest.mark.parametrize("slope_range", ["5", "5,x", "5,10,20", ""])
+    def test_malformed_slope_range_is_usage_error(self, runner, slope_range):
+        result = runner.invoke(
+            main, ["--seed", SEED_HEX, "gw-sim", "--trials", "10", "--slope-range", slope_range]
+        )
+        assert result.exit_code == 2
+        assert "--slope-range" in result.output
+
+    @pytest.mark.parametrize("command", ["matching", "coloring", "ksat", "balls-bins"])
+    def test_negative_failure_budget_is_usage_error(self, runner, command):
+        result = runner.invoke(main, ["--seed", SEED_HEX, command, "--failure-budget", "-0.5"])
+        assert result.exit_code == 2
+        assert "--failure-budget" in result.output
+
 
 class TestSubcommandBehavior:
     def test_matching_single_edge_query(self, runner):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -10,6 +11,7 @@ from lcakit.ranks import (
     Rank,
     RandomStream,
     Seed,
+    _digest,
     compare,
     derive_subseed,
     is_probable_prime,
@@ -231,3 +233,67 @@ class TestPrimes:
     def test_next_prime(self):
         assert next_prime(31) == 31
         assert next_prime(32) == 37
+
+
+class TestKeyedHashing:
+    """Keying BLAKE2b once per (seed, domain) and copying the keyed state
+    must give exactly the digests of keying afresh for every hash."""
+
+    @settings(max_examples=200)
+    @given(
+        st.binary(min_size=32, max_size=32),
+        st.integers(0, 2**64 - 1),
+        st.binary(max_size=40),
+        st.binary(max_size=200),
+        st.integers(1, 64),
+    )
+    def test_digest_equals_fresh_keyed_blake2b(self, key, ensemble, domain, payload, size):
+        seed = Seed(key, ensemble)
+        ref = hashlib.blake2b(key=key, digest_size=size)
+        ref.update(ensemble.to_bytes(8, "big"))
+        ref.update(len(domain).to_bytes(2, "big"))
+        ref.update(domain)
+        ref.update(payload)
+        assert _digest(seed, domain, payload, size) == ref.digest()
+        # a second hash from the same keyed state is unaffected by the first
+        assert _digest(seed, domain, payload, size) == ref.digest()
+
+    # Values recorded before the keyed state was shared between hashes.
+    OTHER = Seed(bytes(range(32)), 3)
+
+    def test_frozen_full_ranks(self):
+        values = [rank_of(SEED, FullPseudorandom(), i, 1000).value for i in (0, 1, 999)]
+        assert values == [3545631867768202856, 4666212691553994194, 8965156156747544817]
+        values = [rank_of(self.OTHER, FullPseudorandom(), i, 1000).value for i in (0, 5)]
+        assert values == [12762174402759418807, 6926396255963048942]
+
+    def test_frozen_kwise_ranks(self):
+        kind = KWiseIndependent(4, next_prime(1000**3))
+        values = [rank_of(SEED, kind, i, 1000).value for i in (0, 1, 999)]
+        assert values == [229523795997905261, 4428401444155208903, 11458243626794360897]
+        values = [rank_of(self.OTHER, kind, i, 1000).value for i in (0, 5)]
+        assert values == [13509403328249976722, 2577121178456699843]
+
+    def test_frozen_stream(self):
+        stream = RandomStream(SEED, b"golden")
+        assert [stream.u64() for _ in range(10)] == [
+            10841068061214769783, 5906495424114265003, 6062808247351805548,
+            8950140539367647330, 13826073857051100139, 7362297308517099299,
+            6513219353825080112, 12076171575194047644, 14627308929818347328,
+            17049787825352952190,
+        ]
+        stream = RandomStream(self.OTHER, b"")
+        assert [stream.u64() for _ in range(3)] == [
+            1665906627277460897, 13498724087484185839, 10689579581754830,
+        ]
+        assert [random_in_range(SEED, b"x%d" % i, 1000) for i in range(5)] == [
+            123, 936, 189, 24, 907,
+        ]
+
+    def test_frozen_subseeds(self):
+        assert derive_subseed(SEED, b"golden").hex() == (
+            "e50cb3ebc73b612b2070bdd0f83669738b63160e881adfe952f5a6892ba2cfa0"
+        )
+        assert derive_subseed(self.OTHER, b"").hex() == (
+            "e1ef4f1eaf450b84dae1d99039327ae4ddcd537fa5adf9cffbb4983a43a85775"
+        )
