@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from lcakit.ballsbins import (
@@ -128,6 +130,26 @@ class TestAssignQuery:
             for cap in (0, 2, None):
                 a = assign_query(bc, ball, LL, SEED, cap=cap)
                 assert a.bin in bc.choices_of(ball)
+
+    def test_singleton_probes_one_plus_d(self):
+        # ball 0's bins are chosen by nobody else: one choice-list lookup
+        # plus one chooser-list lookup per bin
+        bc = BipartiteChoices.from_choices(3, 4, 2, [(0, 1), (2, 3), (2, 3)])
+        a = assign_query(bc, 0, LL, SEED)
+        assert a == Assignment(0, 0, failed=False, probes=1 + 2)
+
+    def test_two_balls_sharing_both_bins_probes(self):
+        bc = BipartiteChoices.from_choices(2, 2, 2, [(0, 1), (0, 1)])
+        key_of = rank_key_fn(SEED, FullPseudorandom(), 2)
+        first, second = sorted((0, 1), key=key_of)
+        assert assign_query(bc, first, LL, SEED).probes == 1 + 2
+        assert assign_query(bc, second, LL, SEED).probes == 2 * (1 + 2)
+
+    def test_cap_one_on_shared_bin_fails_latest(self):
+        bc = BipartiteChoices.from_choices(3, 1, 1, [(0,), (0,), (0,)])
+        latest = max(range(3), key=rank_key_fn(SEED, FullPseudorandom(), 3))
+        a = assign_query(bc, latest, LL, SEED, cap=1)
+        assert a.failed and a.bin == 0
 
     def test_matches_global_run(self):
         bc = gen_bipartite_choices(SEED, 300, 300, 2, "uniform")
@@ -270,3 +292,42 @@ class TestLocality:
             # calibrated regression bound; passes with >2x margin at this seed
             assert max(probes) / math.log2(n) <= 30
         assert max(means) / min(means) < 2
+
+
+# sha256 of every (ball, bin, failed, probes) from assign_all, per rule over
+# d in {1, 2, 3} and caps {default, 1, 2, 3, 5}; small caps truncate most
+# queries, so the digests pin the probe counts of truncated walks as well
+PINNED_DIGESTS = {
+    "least-loaded": "6dc935ede4fcc8e3acd3b5386012b4591d27cd81b07cf4525376d0983822c2f4",
+    "always-go-left": "4816b6734f1b692d43a89d3bdf36b8cfbb1b33faa3c2d75c2548ecc316136790",
+    "capacity": "901565585e1b29e89c8ab56603a75ef665dc9f95e8ba417718d8b24eb7c713b8",
+    "circle": "7d85c4ffd13873486880baf1f0a31a6b418351bf616ea029525af996105eace9",
+}
+PINNED_SCHEMES = {
+    "least-loaded": "uniform",
+    "always-go-left": "grouped",
+    "capacity": "capacity",
+    "circle": "circle",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_pinned_assignments(name):
+    scheme = PINNED_SCHEMES[name]
+    h = hashlib.sha256()
+    for d in (1, 2, 3):
+        m, caps = (150, [1, 3] * 75) if scheme == "capacity" else (300, None)
+        bc = gen_bipartite_choices(
+            derive_subseed(SEED, b"pin:%s:%d" % (name.encode(), d)),
+            300,
+            m,
+            d,
+            scheme,
+            capacities=caps,
+        )
+        rseed = derive_subseed(SEED, b"pin-ranks:%d" % d)
+        for cap in (None, 1, 2, 3, 5):
+            assignments, _ = assign_all(bc, RULES[name], rseed, cap=cap)
+            for a in assignments:
+                h.update(b"%d %d %d %d\n" % (a.ball, a.bin, a.failed, a.probes))
+    assert h.hexdigest() == PINNED_DIGESTS[name]
