@@ -26,6 +26,7 @@ from .exploration import (
     Regular,
     TreeStatsSpec,
     gw_sizes,
+    lower_bound_experiment,
     tail_slope,
     tree_stats,
 )
@@ -296,8 +297,6 @@ def criterion_6() -> CriterionResult:
     """Full-path closure frequency matches 1/k! within 3 standard errors."""
     t0 = time.time()
     seed = _seed()
-    from .cli import lower_bound_experiment
-
     checks = {}
     for k, trials in ((2, 10**5), (5, 10**6)):
         freq = lower_bound_experiment(k, trials, derive_subseed(seed, b"c6:%d" % k))

@@ -2,10 +2,11 @@
 
 Balls arrive in a seeded random order; each is placed into one of its d
 chosen bins by a pluggable decision rule that may only look at those d bins'
-current loads and static metadata.  A per-ball query explores the ball's
-bipartite relevant set and replays the arrival sequence inside it, tracking
-loads only for bins the set touches; that is exact because every earlier
-ball affecting those bins is itself in the set.
+current loads and static metadata.  A per-ball query walks the ball's
+closure in the ball-conflict graph (two balls conflict when they share a
+bin) and replays the arrival sequence inside it, tracking loads only for
+bins the set touches; that is exact because every earlier ball affecting
+those bins is itself in the set.
 
 If the relevant set exceeds its cap the query is a counted failure and the
 ball falls back to a seed-derived uniform choice among its own d bins, so
@@ -14,11 +15,10 @@ even failures are deterministic and query-order oblivious.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
-from .exploration import explore_bipartite, ilog2ceil
+from .exploration import _closure, ilog2ceil
 from .graphs import BipartiteChoices
 from .ranks import (
     FullPseudorandom,
@@ -209,20 +209,28 @@ def assign_query(
         cap = default_cap(bc.m_bins)
     if cap < 1:
         return Assignment(ball, _fallback_bin(bc, ball, seed), failed=True, probes=0)
-    rs = explore_bipartite(bc, ball, seed, kind, cap, _key_of=_key_of)
-    if rs.truncated:
-        return Assignment(
-            ball, _fallback_bin(bc, ball, seed), failed=True, probes=rs.probes
-        )
+    if not 0 <= ball < bc.n_balls:
+        raise ValueError(f"ball {ball} out of range for n={bc.n_balls}")
+    key_of = _key_of if _key_of is not None else rank_key_fn(seed, kind, bc.n_balls)
+    probes = 0
+
+    def conflicts(b):
+        # a ball's neighbours are the choosers of its bins
+        nonlocal probes
+        probes += 1  # choices_of lookup
+        for u in bc.choices_of(b):
+            probes += 1  # choosers_of lookup
+            yield from bc.choosers_of(u)
+
+    order, _, _, _, truncated = _closure(conflicts, ball, key_of, cap)
+    if truncated:
+        return Assignment(ball, _fallback_bin(bc, ball, seed), failed=True, probes=probes)
     loads: dict[int, int] = {}
     load_of = lambda u: loads.get(u, 0)  # noqa: E731
-    chosen = None
-    for b, _ in rs.members:  # ascending rank; the queried ball is last
+    for b in order:  # ascending rank; the queried ball is last
         u = rule.choose(bc, b, load_of)
         loads[u] = loads.get(u, 0) + 1
-        if b == ball:
-            chosen = u
-    return Assignment(ball, chosen, failed=False, probes=rs.probes)
+    return Assignment(ball, u, failed=False, probes=probes)
 
 
 def assign_all(
@@ -242,32 +250,3 @@ def assign_all(
         for ball in range(bc.n_balls)
     ]
     return assignments, LoadProfile.from_assignments(bc.m_bins, assignments)
-
-
-def _percentile(sorted_values: Sequence[int], q: float) -> int:
-    """Nearest-rank percentile of a pre-sorted sequence."""
-    if not sorted_values:
-        raise ValueError("need at least one value")
-    # the smallest value with at least q of the values at or below it; the
-    # rounding drops float noise such as 0.7 * 10 == 7.000000000000001
-    rank = math.ceil(round(q * len(sorted_values), 9))
-    return sorted_values[max(0, min(len(sorted_values), rank) - 1)]
-
-
-def max_load_report(
-    profiles_by_rule: Mapping[str, Sequence[LoadProfile]],
-) -> dict[str, dict[str, float]]:
-    """Per-rule summary of max loads across seeds: mean, p50, p90, max."""
-    out = {}
-    for name, profiles in profiles_by_rule.items():
-        if not profiles:
-            raise ValueError(f"rule {name!r} has no profiles")
-        maxima = sorted(p.max_load for p in profiles)
-        out[name] = {
-            "runs": len(maxima),
-            "mean": sum(maxima) / len(maxima),
-            "p50": _percentile(maxima, 0.50),
-            "p90": _percentile(maxima, 0.90),
-            "max": maxima[-1],
-        }
-    return out

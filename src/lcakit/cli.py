@@ -26,7 +26,7 @@ from .exploration import (
     Binomial,
     Regular,
     TreeStatsSpec,
-    explore,
+    lower_bound_experiment,
     stats_from_sizes,
     tail_slope,
 )
@@ -135,48 +135,13 @@ def _generate(fn, *args, **kwargs):
 # ---------------------------------------------------------------------------
 
 
-def lower_bound_experiment(path_len: int, trials: int, seed: Seed) -> float:
-    """Frequency with which the closure from a path endpoint spans the path.
-
-    Each trial explores a fresh derived ordering on a path of ``path_len``
-    vertices from vertex 0; the full path is reached exactly when the ranks
-    decrease monotonically along it, so the frequency estimates 1/path_len!.
-    """
-    if path_len < 2:
-        raise ValueError("need path_len >= 2")
-    if trials < 1:
-        raise ValueError("need trials >= 1")
-    g = graphs.path_graph(path_len)
-    hits = 0
-    for t in range(trials):
-        sub = derive_subseed(seed, b"trial:%d" % t)
-        if explore(g, 0, sub, cap=path_len).size == path_len:
-            hits += 1
-    return hits / trials
-
-
 # -- parallel workers (top level so they pickle) -----------------------------
 
 
 def _tree_stats_worker(args) -> tuple[list[int], int]:
     (gen, n, d, queries, cap, seed_hex, instance) = args
-    seed = Seed.from_hex(seed_hex)
     spec = TreeStatsSpec(gen, n, d, instances=1, queries_per_instance=queries, cap=cap)
-    # reproduce exactly the serial per-instance derivation
-    sizes: list[int] = []
-    truncated = 0
-    gseed = derive_subseed(seed, b"instance:%d" % instance)
-    g = exploration._generate(gen, gseed, n, d)
-    roots = exploration.RandomStream(
-        derive_subseed(seed, b"roots:%d" % instance), b"root"
-    )
-    for q in range(queries):
-        oseed = derive_subseed(seed, b"order:%d:%d" % (instance, q))
-        rs = explore(g, roots.randrange(g.n), oseed, spec.kind, cap)
-        sizes.append(rs.size)
-        if rs.truncated:
-            truncated += 1
-    return sizes, truncated
+    return exploration._instance_sizes(spec, Seed.from_hex(seed_hex), instance)
 
 
 def _gw_worker(args) -> list[int]:

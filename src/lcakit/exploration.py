@@ -8,6 +8,15 @@ set member gets a full neighbor scan, so the set is closed: each member's
 lower-ranked neighbors are all members.  That closure property is what makes
 bottom-up replay exact.
 
+Every query reports ``probes``, a count of adjacency-oracle lookups whose
+unit depends on the algorithm:
+
+* ``explore`` and ``engine.eval_local``: one per walk dequeue;
+* matching: two per dequeue, one scan of each endpoint's neighbor list;
+* balls-into-bins: one choice-list lookup per dequeued ball plus one
+  chooser-list lookup per bin it scans;
+* coloring and k-SAT: one per hypergraph-oracle call.
+
 The branching-tree sampler models the same growth process on idealized
 infinite trees (fixed fan-out with per-child survival, or binomial
 offspring), which is the right reference object for tail statistics.
@@ -20,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Union
 
-from .graphs import BipartiteChoices, LocalGraph
+from .graphs import LocalGraph, path_graph
 from .ranks import (
     FullPseudorandom,
     OrderingKind,
@@ -134,57 +143,6 @@ def explore(
     order, keys, _, probes, truncated = _closure(g.neighbors, root, key_of, cap)
     members = tuple((v, Rank(*keys[v])) for v in order)
     return RelevantSet(root, members, probes, truncated)
-
-
-def explore_bipartite(
-    bc: BipartiteChoices,
-    root_ball: int,
-    seed: Seed,
-    kind: OrderingKind = FullPseudorandom(),
-    cap: int = 1 << 20,
-    _key_of: Callable[[int], tuple[int, int]] | None = None,
-) -> RelevantSet:
-    """Relevant set of a ball: alternate over its bins and their choosers.
-
-    From each set ball, visit its d chosen bins; from each such bin, add the
-    balls that chose it and arrive earlier than the querying ball.  Bins are
-    carriers only; members list balls.  Probes count both choice-list and
-    chooser-list lookups.
-    """
-    if not 0 <= root_ball < bc.n_balls:
-        raise ValueError(f"ball {root_ball} out of range for n={bc.n_balls}")
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    key_of = _key_of if _key_of is not None else rank_key_fn(seed, kind, bc.n_balls)
-    keys = {root_ball: key_of(root_ball)}
-    members = {root_ball}
-    queue = deque([root_ball])
-    probes = 0
-    truncated = False
-    while queue and not truncated:
-        b = queue.popleft()
-        kb = keys[b]
-        probes += 1  # choices_of lookup
-        for u in bc.choices_of(b):
-            probes += 1  # choosers_of lookup
-            for w in bc.choosers_of(u):
-                if w in members:
-                    continue
-                kw = keys.get(w)
-                if kw is None:
-                    kw = key_of(w)
-                    keys[w] = kw
-                if kw < kb:
-                    if len(members) >= cap:
-                        truncated = True
-                        break
-                    members.add(w)
-                    queue.append(w)
-            if truncated:
-                break
-    order = sorted(members, key=keys.__getitem__)
-    out = tuple((b, Rank(*keys[b])) for b in order)
-    return RelevantSet(root_ball, out, probes, truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +331,20 @@ def _generate(generator: str, seed: Seed, n: int, d: int) -> LocalGraph:
     raise ValueError(f"unknown generator {generator!r}")
 
 
+def _instance_sizes(spec: TreeStatsSpec, seed: Seed, i: int) -> tuple[list[int], int]:
+    """Relevant-set sizes and truncation count for instance ``i`` of a spec."""
+    g = _generate(spec.generator, derive_subseed(seed, b"instance:%d" % i), spec.n, spec.d)
+    roots = RandomStream(derive_subseed(seed, b"roots:%d" % i), b"root")
+    sizes: list[int] = []
+    truncated = 0
+    for q in range(spec.queries_per_instance):
+        oseed = derive_subseed(seed, b"order:%d:%d" % (i, q))
+        rs = explore(g, roots.randrange(g.n), oseed, spec.kind, spec.cap)
+        sizes.append(rs.size)
+        truncated += rs.truncated
+    return sizes, truncated
+
+
 def explore_sizes(spec: TreeStatsSpec, seed: Seed) -> tuple[list[int], int]:
     """Relevant-set sizes for every (instance, query) pair of a spec."""
     if spec.instances < 1 or spec.queries_per_instance < 1:
@@ -380,16 +352,9 @@ def explore_sizes(spec: TreeStatsSpec, seed: Seed) -> tuple[list[int], int]:
     sizes: list[int] = []
     truncated = 0
     for i in range(spec.instances):
-        gseed = derive_subseed(seed, b"instance:%d" % i)
-        g = _generate(spec.generator, gseed, spec.n, spec.d)
-        roots = RandomStream(derive_subseed(seed, b"roots:%d" % i), b"root")
-        for q in range(spec.queries_per_instance):
-            oseed = derive_subseed(seed, b"order:%d:%d" % (i, q))
-            root = roots.randrange(g.n)
-            rs = explore(g, root, oseed, spec.kind, spec.cap)
-            sizes.append(rs.size)
-            if rs.truncated:
-                truncated += 1
+        chunk, chunk_truncated = _instance_sizes(spec, seed, i)
+        sizes.extend(chunk)
+        truncated += chunk_truncated
     return sizes, truncated
 
 
@@ -397,6 +362,26 @@ def tree_stats(spec: TreeStatsSpec, seed: Seed) -> TreeStats:
     """Run a full exploration experiment and aggregate the histogram."""
     sizes, truncated = explore_sizes(spec, seed)
     return stats_from_sizes(sizes, spec.thresholds, truncated)
+
+
+def lower_bound_experiment(path_len: int, trials: int, seed: Seed) -> float:
+    """Frequency with which the closure from a path endpoint spans the path.
+
+    Each trial explores a fresh derived ordering on a path of ``path_len``
+    vertices from vertex 0; the full path is reached exactly when the ranks
+    decrease monotonically along it, so the frequency estimates 1/path_len!.
+    """
+    if path_len < 2:
+        raise ValueError("need path_len >= 2")
+    if trials < 1:
+        raise ValueError("need trials >= 1")
+    g = path_graph(path_len)
+    hits = 0
+    for t in range(trials):
+        sub = derive_subseed(seed, b"trial:%d" % t)
+        if explore(g, 0, sub, cap=path_len).size == path_len:
+            hits += 1
+    return hits / trials
 
 
 def gw_sizes(

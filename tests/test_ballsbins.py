@@ -5,12 +5,9 @@ import pytest
 from lcakit.ballsbins import (
     RULES,
     Assignment,
-    LoadProfile,
-    _percentile,
     assign_all,
     assign_query,
     default_cap,
-    max_load_report,
     run_global,
 )
 from lcakit.graphs import BipartiteChoices, gen_bipartite_choices
@@ -227,28 +224,6 @@ class TestRunGlobal:
 
 
 class TestMaxLoadReport:
-    def test_single_profile_is_its_own_max(self):
-        profile = LoadProfile((2, 0, 1), 2)
-        report = max_load_report({"least-loaded": [profile]})
-        assert report["least-loaded"]["max"] == 2
-        assert report["least-loaded"]["mean"] == 2.0
-
-    def test_percentiles_ordered(self):
-        profiles = [LoadProfile((x,), x) for x in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)]
-        stats = max_load_report({"r": profiles})["r"]
-        assert stats["p50"] <= stats["p90"] <= stats["max"] == 10
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            max_load_report({"r": []})
-
-    def test_percentile_is_nearest_rank(self):
-        assert _percentile([1, 2, 3], 0.50) == 2
-        assert _percentile(list(range(1, 11)), 0.95) == 10
-        assert _percentile(list(range(1, 11)), 0.70) == 7
-        assert _percentile([4, 9], 0.0) == 4
-        assert _percentile([4, 9], 1.0) == 9
-
     def test_capacity_uniform_degenerates_to_least_loaded(self):
         # with equal capacities the relative-load rule IS least-loaded:
         # identical decisions on the identical instance

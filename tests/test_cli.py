@@ -6,11 +6,9 @@ from click.testing import CliRunner
 from lcakit.cli import (
     EXIT_BUDGET,
     EXIT_GENERATION,
-    lower_bound_experiment,
     main,
     validate_report,
 )
-from lcakit.ranks import Seed
 
 SEED_HEX = "5eed" * 16
 
@@ -24,19 +22,6 @@ def run_ok(runner, args, **kwargs):
     result = runner.invoke(main, args, **kwargs)
     assert result.exit_code == 0, result.stdout
     return result
-
-
-class TestLowerBoundExperiment:
-    def test_two_vertex_path_near_half(self):
-        freq = lower_bound_experiment(2, 10**4, Seed.from_hex(SEED_HEX))
-        assert abs(freq - 0.5) <= 3 * (0.25 / 10**4) ** 0.5
-
-    def test_validates_inputs(self):
-        seed = Seed.from_hex(SEED_HEX)
-        with pytest.raises(ValueError):
-            lower_bound_experiment(1, 10, seed)
-        with pytest.raises(ValueError):
-            lower_bound_experiment(3, 0, seed)
 
 
 class TestReports:

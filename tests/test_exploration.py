@@ -11,18 +11,16 @@ from lcakit.exploration import (
     TreeStatsSpec,
     _binomial_draw,
     explore,
-    explore_bipartite,
     gw_sizes,
     ilog2ceil,
+    lower_bound_experiment,
     sample_gw_tree,
     stats_from_sizes,
     tail_slope,
     tree_stats,
 )
 from lcakit.graphs import (
-    BipartiteChoices,
     LocalGraph,
-    gen_bipartite_choices,
     gen_bounded_degree,
     path_graph,
 )
@@ -34,7 +32,8 @@ from lcakit.ranks import (
     rank_key_fn,
 )
 
-SEED = Seed.from_hex("5eed" * 16)
+SEED_HEX = "5eed" * 16
+SEED = Seed.from_hex(SEED_HEX)
 
 
 def closure_oracle(g, root, key_of):
@@ -142,45 +141,17 @@ class TestExplore:
             explore(path_graph(3), 0, SEED, cap=0)
 
 
-class TestExploreBipartite:
-    def test_untouched_bins_leave_singleton(self):
-        # ball 0's bins are chosen by nobody else
-        bc = BipartiteChoices.from_choices(3, 4, 2, [(0, 1), (2, 3), (2, 3)])
-        rs = explore_bipartite(bc, 0, SEED)
-        assert rs.vertices() == (0,)
+class TestLowerBoundExperiment:
+    def test_two_vertex_path_near_half(self):
+        freq = lower_bound_experiment(2, 10**4, Seed.from_hex(SEED_HEX))
+        assert abs(freq - 0.5) <= 3 * (0.25 / 10**4) ** 0.5
 
-    def test_two_balls_sharing_bins(self):
-        bc = BipartiteChoices.from_choices(2, 2, 2, [(0, 1), (0, 1)])
-        key_of = rank_key_fn(SEED, FullPseudorandom(), 2)
-        lo, hi = sorted((0, 1), key=key_of)
-        assert set(explore_bipartite(bc, hi, SEED).vertices()) == {0, 1}
-        assert explore_bipartite(bc, lo, SEED).vertices() == (lo,)
-
-    def test_members_are_balls_sorted_by_rank(self):
-        bc = gen_bipartite_choices(SEED, 300, 100, 2)
-        rs = explore_bipartite(bc, 7, SEED)
-        assert all(0 <= b < 300 for b in rs.vertices())
-        keys = [(r.value, r.owner) for _, r in rs.members]
-        assert keys == sorted(keys)
-        assert rs.members[-1][0] == 7  # root arrives last among its closure
-
-    def test_closure_supports_exact_replay(self):
-        # every bin of a member ball has all its earlier choosers in the set
-        bc = gen_bipartite_choices(SEED, 400, 200, 2)
-        key_of = rank_key_fn(SEED, FullPseudorandom(), 400)
-        rs = explore_bipartite(bc, 11, SEED)
-        members = set(rs.vertices())
-        for b in members:
-            for u in bc.choices_of(b):
-                for w in bc.choosers_of(u):
-                    if key_of(w) < key_of(b):
-                        assert w in members
-
-    def test_truncation_flag(self):
-        bc = BipartiteChoices.from_choices(3, 1, 1, [(0,), (0,), (0,)])
-        ranks = sorted(range(3), key=rank_key_fn(SEED, FullPseudorandom(), 3))
-        rs = explore_bipartite(bc, ranks[-1], SEED, cap=1)
-        assert rs.truncated
+    def test_validates_inputs(self):
+        seed = Seed.from_hex(SEED_HEX)
+        with pytest.raises(ValueError):
+            lower_bound_experiment(1, 10, seed)
+        with pytest.raises(ValueError):
+            lower_bound_experiment(3, 0, seed)
 
 
 class TestGwSampler:
