@@ -272,23 +272,29 @@ class TestLocality:
 # sha256 of every (ball, bin, failed, probes) from assign_all, per rule over
 # d in {1, 2, 3} and caps {default, 1, 2, 3, 5}; small caps truncate most
 # queries, so the digests pin the probe counts of truncated walks as well
-PINNED_DIGESTS = {
-    "least-loaded": "6dc935ede4fcc8e3acd3b5386012b4591d27cd81b07cf4525376d0983822c2f4",
-    "always-go-left": "4816b6734f1b692d43a89d3bdf36b8cfbb1b33faa3c2d75c2548ecc316136790",
-    "capacity": "901565585e1b29e89c8ab56603a75ef665dc9f95e8ba417718d8b24eb7c713b8",
-    "circle": "7d85c4ffd13873486880baf1f0a31a6b418351bf616ea029525af996105eace9",
-}
-PINNED_SCHEMES = {
-    "least-loaded": "uniform",
-    "always-go-left": "grouped",
-    "capacity": "capacity",
-    "circle": "circle",
+PINNED = {  # rule: (scheme, digest)
+    "least-loaded": (
+        "uniform",
+        "6dc935ede4fcc8e3acd3b5386012b4591d27cd81b07cf4525376d0983822c2f4",
+    ),
+    "always-go-left": (
+        "grouped",
+        "4816b6734f1b692d43a89d3bdf36b8cfbb1b33faa3c2d75c2548ecc316136790",
+    ),
+    "capacity": (
+        "capacity",
+        "901565585e1b29e89c8ab56603a75ef665dc9f95e8ba417718d8b24eb7c713b8",
+    ),
+    "circle": (
+        "circle",
+        "7d85c4ffd13873486880baf1f0a31a6b418351bf616ea029525af996105eace9",
+    ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+@pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_assignments(name):
-    scheme = PINNED_SCHEMES[name]
+    scheme, digest = PINNED[name]
     h = hashlib.sha256()
     for d in (1, 2, 3):
         m, caps = (150, [1, 3] * 75) if scheme == "capacity" else (300, None)
@@ -305,4 +311,4 @@ def test_pinned_assignments(name):
             assignments, _ = assign_all(bc, RULES[name], rseed, cap=cap)
             for a in assignments:
                 h.update(b"%d %d %d %d\n" % (a.ball, a.bin, a.failed, a.probes))
-    assert h.hexdigest() == PINNED_DIGESTS[name]
+    assert h.hexdigest() == digest
