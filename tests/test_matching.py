@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -6,13 +7,20 @@ from lcakit.exploration import TruncationError
 from lcakit.graphs import LocalGraph, gen_bounded_degree, path_graph
 from lcakit.matching import (
     _edge_key_fn,
+    all_verdicts,
     canonical_edge,
     full_matching,
     greedy_by_rank,
     is_matched,
     verify_maximal,
 )
-from lcakit.ranks import FullPseudorandom, KWiseIndependent, Seed, derive_subseed
+from lcakit.ranks import (
+    FullPseudorandom,
+    KWiseIndependent,
+    Seed,
+    derive_subseed,
+    next_prime,
+)
 
 SEED = Seed.from_hex("5eed" * 16)
 
@@ -198,3 +206,29 @@ class TestLocality:
             # calibrated regression bound; passes with >2x margin at this seed
             assert max(evaluated) / math.log2(n) <= 40
         assert max(means) / min(means) < 2
+
+
+# sha256 of every verdict and cost field, recorded before the walk ran over
+# packed edge ids; any change to an answer, a probe count, an evaluated-set
+# size, a truncation point or a truncation message moves it.
+PINNED_VERDICTS = "950487e30540daf97df3247427faf7afcbcc93a4bd93dee2f0fcaf86bcf187ed"
+
+
+def test_pinned_verdicts():
+    h = hashlib.sha256()
+    for i, (n, d) in enumerate(((60, 3), (200, 4), (300, 5))):
+        g = gen_bounded_degree(derive_subseed(SEED, b"pin:%d" % i), n, d)
+        s = derive_subseed(SEED, b"pin-ranks:%d" % i)
+        for kind in (FullPseudorandom(), KWiseIndependent(8, next_prime(n**3))):
+            for e, v in all_verdicts(g, s, kind).items():
+                h.update(b"%r %d %d %d\n" % (e, v.matched, v.probes, v.edges_evaluated))
+            for cap in (1, 2, 3, 5):
+                for e in g.edges():
+                    try:
+                        v = is_matched(g, e, s, kind, cap)
+                    except TruncationError as exc:
+                        row = (cap, e, "cut", exc.size, exc.probes, str(exc))
+                    else:
+                        row = (cap, e, v.matched, v.probes, v.edges_evaluated)
+                    h.update(b"%r\n" % (row,))
+    assert h.hexdigest() == PINNED_VERDICTS
