@@ -3,9 +3,11 @@
 Edges arrive in a seeded random order; greedy adds an edge iff none of its
 neighbors was added before it.  A per-edge query explores the decreasing-rank
 closure over edge adjacency and replays greedy inside it, which reproduces
-the global verdict exactly.  Edge ranks derive from the canonical edge id
+the global verdict exactly.  Edge ranks derive from the packed edge id
 ``min * n + max`` over a universe of n*n ids, so they are independent of the
-endpoint ranks and of how the edge was reached.
+endpoint ranks and of how the edge was reached.  The walk runs over those
+packed ids, the same integers the ranks hash; edge tuples appear only at the
+public boundary.
 """
 
 from __future__ import annotations
@@ -43,15 +45,18 @@ def _edge_key_fn(g: LocalGraph, seed: Seed, kind: OrderingKind):
     return key
 
 
-def _adjacent_edges(g: LocalGraph, e: Edge) -> Iterable[Edge]:
-    """Edges sharing an endpoint with e (two neighbor-list scans)."""
-    u, v = e
-    for w in g.neighbors(u):
-        if w != v:
-            yield canonical_edge(u, w)
-    for w in g.neighbors(v):
-        if w != u:
-            yield canonical_edge(v, w)
+def _packed_adjacency(g: LocalGraph) -> Callable[[int], list[int]]:
+    """Packed ids of the edges sharing an endpoint with packed edge x = u*n+v:
+    u's other neighbors, then v's, each in ascending id order."""
+    n, nbrs = g.n, g.neighbors
+
+    def adj(x: int) -> list[int]:
+        u, v = divmod(x, n)
+        out = [u * n + w if u < w else w * n + u for w in nbrs(u) if w != v]
+        out += [v * n + w if v < w else w * n + v for w in nbrs(v) if w != u]
+        return out
+
+    return adj
 
 
 def is_matched(
@@ -60,7 +65,7 @@ def is_matched(
     seed: Seed,
     kind: OrderingKind = FullPseudorandom(),
     cap: int = 1 << 20,
-    _key_of: Callable[[Edge], tuple[int, int]] | None = None,
+    _key_of: Callable[[int], tuple[int, int]] | None = None,
 ) -> MatchVerdict:
     """Whether edge e is in the greedy matching under this seed.
 
@@ -72,10 +77,10 @@ def is_matched(
     e = canonical_edge(*e)
     if e[1] not in g.neighbors(e[0]):
         raise ValueError(f"{e} is not an edge of the graph")
-    key_of = _key_of if _key_of is not None else _edge_key_fn(g, seed, kind)
-    order, _, lower, scans, truncated = _closure(
-        lambda f: _adjacent_edges(g, f), e, key_of, cap
-    )
+    n = g.n
+    key_of = _key_of if _key_of is not None else rank_key_fn(seed, kind, n * n)
+    root = e[0] * n + e[1]
+    order, _, lower, scans, truncated = _closure(_packed_adjacency(g), root, key_of, cap)
     probes = 2 * scans  # each adjacency scan reads both endpoint neighbor lists
     if truncated:
         raise TruncationError(
@@ -83,10 +88,10 @@ def is_matched(
             probes=probes,
             size=len(order),
         )
-    matched: dict[Edge, bool] = {}
+    matched: dict[int, bool] = {}
     for f in order:
         matched[f] = not any(matched[x] for x in lower[f])
-    return MatchVerdict(matched[e], probes=probes, edges_evaluated=len(order))
+    return MatchVerdict(matched[root], probes=probes, edges_evaluated=len(order))
 
 
 def all_verdicts(
@@ -96,7 +101,7 @@ def all_verdicts(
     cap: int = 1 << 20,
 ) -> dict[Edge, MatchVerdict]:
     """Per-edge verdicts for every edge; any truncation aborts."""
-    key_of = _edge_key_fn(g, seed, kind)
+    key_of = rank_key_fn(seed, kind, g.n * g.n)
     out = {}
     for e in g.edges():
         try:

@@ -259,28 +259,52 @@ def _kwise_coeffs(seed: Seed, k: int, prime: int) -> tuple[int, ...]:
     return tuple(stream.randrange(prime) for _ in range(k))
 
 
-def _rank_value(seed: Seed, kind: OrderingKind, item: int, universe: int) -> int:
-    """64-bit rank value of ``item`` in a universe of ``universe`` items."""
+def _outside(item: int, universe: int) -> ValueError:
+    return ValueError(
+        f"item {item} outside declared universe of size {universe}; "
+        "the instance and the rank oracle disagree"
+    )
+
+
+def _rank_value(state, item: int, universe: int) -> int:
+    """64-bit full-pseudorandom rank value of ``item`` in a universe of
+    ``universe`` items, hashed from ``state``, the seed's keyed ``b"rank"``
+    state (see :func:`_rank_state`).  The one per-item hash entry."""
     if not 0 <= item < universe:
-        raise ValueError(
-            f"item {item} outside declared universe of size {universe}; "
-            "the instance and the rank oracle disagree"
-        )
-    if isinstance(kind, FullPseudorandom):
-        return int.from_bytes(_digest(seed, b"rank", item.to_bytes(8, "big"), 8), "big")
-    if isinstance(kind, KWiseIndependent):
-        if kind.prime <= universe:
-            raise ValueError(
-                f"prime {kind.prime} must exceed the universe size {universe}"
-            )
-        coeffs = _kwise_coeffs(seed, kind.k, kind.prime)
-        return polynomial_rank(coeffs, kind.prime, item)
-    raise TypeError(f"unknown ordering kind: {kind!r}")
+        raise _outside(item, universe)
+    h = state.copy()
+    h.update(item.to_bytes(8, "big"))
+    return int.from_bytes(h.digest(), "big")
+
+
+def _rank_state(seed: Seed):
+    return _prefix(seed.master_key, seed.ensemble_index, b"rank", 8)
+
+
+def _kwise_value_fn(seed: Seed, kind: OrderingKind, universe: int):
+    """``item -> rank value`` under a k-wise ordering, with the coefficients
+    drawn and the field size checked once.  A prime too small for the
+    universe still fails on the first rank, after its range check."""
+    if not isinstance(kind, KWiseIndependent):
+        raise TypeError(f"unknown ordering kind: {kind!r}")
+    prime = kind.prime
+    coeffs = _kwise_coeffs(seed, kind.k, prime) if prime > universe else None
+
+    def value(item: int) -> int:
+        if not 0 <= item < universe:
+            raise _outside(item, universe)
+        if coeffs is None:
+            raise ValueError(f"prime {prime} must exceed the universe size {universe}")
+        return polynomial_rank(coeffs, prime, item)
+
+    return value
 
 
 def rank_of(seed: Seed, kind: OrderingKind, item: int, universe: int) -> Rank:
     """Rank of an item id under the given ordering. Deterministic."""
-    return Rank(_rank_value(seed, kind, item, universe), item)
+    if isinstance(kind, FullPseudorandom):
+        return Rank(_rank_value(_rank_state(seed), item, universe), item)
+    return Rank(_kwise_value_fn(seed, kind, universe)(item), item)
 
 
 def compare(a: Rank, b: Rank) -> int:
@@ -301,16 +325,30 @@ def compare(a: Rank, b: Rank) -> int:
 def rank_key_fn(seed: Seed, kind: OrderingKind, universe: int):
     """Return a cached ``item -> (value, owner)`` function.
 
-    The cache is local to the returned closure; sharing one closure across
-    the queries of a run avoids rehashing without any cross-run state.
+    Whatever depends only on the arguments (the keyed BLAKE2b state, or the
+    k-wise coefficients) is bound once here, so each miss pays for one hash
+    or one polynomial.  The cache is local to the returned closure; sharing
+    one closure across the queries of a run avoids rehashing without any
+    cross-run state.
     """
     cache: dict[int, tuple[int, int]] = {}
+    if isinstance(kind, FullPseudorandom):
+        state = _rank_state(seed)
 
-    def key(item: int) -> tuple[int, int]:
+        def key(item: int) -> tuple[int, int]:
+            got = cache.get(item)
+            if got is None:
+                # the module global, so a wrapped _rank_value sees every hash
+                got = cache[item] = (_rank_value(state, item, universe), item)
+            return got
+
+        return key
+    value = _kwise_value_fn(seed, kind, universe)
+
+    def kwise_key(item: int) -> tuple[int, int]:
         got = cache.get(item)
         if got is None:
-            got = (_rank_value(seed, kind, item, universe), item)
-            cache[item] = got
+            got = cache[item] = (value(item), item)
         return got
 
-    return key
+    return kwise_key

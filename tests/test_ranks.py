@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcakit import ranks
+from lcakit.graphs import gen_bounded_degree
+from lcakit.matching import is_matched
 from lcakit.ranks import (
     FullPseudorandom,
     KWiseIndependent,
@@ -18,6 +21,7 @@ from lcakit.ranks import (
     next_prime,
     polynomial_rank,
     random_in_range,
+    rank_key_fn,
     rank_of,
 )
 
@@ -297,3 +301,102 @@ class TestKeyedHashing:
         assert derive_subseed(self.OTHER, b"").hex() == (
             "e1ef4f1eaf450b84dae1d99039327ae4ddcd537fa5adf9cffbb4983a43a85775"
         )
+
+
+class TestKeyFunctions:
+    """A key function binds its keyed state (or its k-wise coefficients)
+    once; every rank it hands out must equal one computed from scratch."""
+
+    @settings(max_examples=200)
+    @given(
+        st.binary(min_size=32, max_size=32),
+        st.integers(0, 2**64 - 1),
+        st.integers(1, 2**64),
+        st.data(),
+    )
+    def test_full_key_equals_fresh_keyed_blake2b(self, key, ensemble, universe, data):
+        seed = Seed(key, ensemble)
+        key_of = rank_key_fn(seed, FullPseudorandom(), universe)
+        for item in data.draw(st.lists(st.integers(0, universe - 1), max_size=5)):
+            ref = hashlib.blake2b(key=key, digest_size=8)
+            ref.update(ensemble.to_bytes(8, "big"))
+            ref.update(len(b"rank").to_bytes(2, "big"))
+            ref.update(b"rank")
+            ref.update(item.to_bytes(8, "big"))
+            expected = (int.from_bytes(ref.digest(), "big"), item)
+            assert key_of(item) == expected
+            assert key_of(item) == expected  # cached
+            assert rank_of(seed, FullPseudorandom(), item, universe) == Rank(*expected)
+
+    @settings(max_examples=100)
+    @given(
+        st.binary(min_size=32, max_size=32),
+        st.integers(0, 2**16),
+        st.sampled_from([(1, 2), (2, 11), (4, 101), (8, 4099)]),
+        st.data(),
+    )
+    def test_kwise_key_equals_naive_polynomial(self, key, ensemble, k_prime, data):
+        k, prime = k_prime
+        seed = Seed(key, ensemble)
+        universe = data.draw(st.integers(1, prime - 1))
+        coeffs = ranks._kwise_coeffs(seed, k, prime)
+        key_of = rank_key_fn(seed, KWiseIndependent(k, prime), universe)
+        for item in data.draw(st.lists(st.integers(0, universe - 1), max_size=5)):
+            naive = sum(a * item**i for i, a in enumerate(coeffs)) % prime
+            assert key_of(item) == ((naive << 64) // prime, item)
+
+    @pytest.mark.parametrize("kind", [FullPseudorandom(), KWiseIndependent(2, 17)])
+    @pytest.mark.parametrize("item", [-1, 16, 10**30])
+    def test_out_of_universe_raises(self, kind, item):
+        with pytest.raises(ValueError, match="outside declared universe"):
+            rank_of(SEED, kind, item, 16)
+        with pytest.raises(ValueError, match="outside declared universe"):
+            rank_key_fn(SEED, kind, 16)(item)
+
+    @pytest.mark.parametrize("universe", [11, 12, 50])
+    def test_prime_not_above_universe_raises(self, universe):
+        kind = KWiseIndependent(2, 11)
+        with pytest.raises(ValueError, match="must exceed the universe"):
+            rank_of(SEED, kind, 0, universe)
+        key_of = rank_key_fn(SEED, kind, universe)
+        for item in (0, universe - 1):
+            with pytest.raises(ValueError, match="must exceed the universe"):
+                key_of(item)
+
+    def test_cold_matching_query_hashes_each_edge_once(self, monkeypatch):
+        # ranks._rank_value is the one per-item hash entry (the traced
+        # ``ranks.full_key`` span), so it must see every hash, once per edge.
+        g = gen_bounded_degree(SEED, 300, 5)
+        seed = derive_subseed(SEED, b"hash-count")
+        n, real = g.n, ranks._rank_value
+        hashed: list[int] = []
+
+        def counting(state, item, universe):
+            hashed.append(item)
+            return real(state, item, universe)
+
+        monkeypatch.setattr(ranks, "_rank_value", counting)
+        for e in g.edges()[:40]:
+            hashed.clear()
+            verdict = is_matched(g, e, seed)
+            assert len(hashed) == len(set(hashed))
+
+            # the walk hashes the root and every edge next to a member
+            def rank(f):
+                return rank_of(seed, FullPseudorandom(), f[0] * n + f[1], n * n)
+
+            def adjacent(f):
+                u, v = f
+                return [tuple(sorted((x, w))) for x, y in ((u, v), (v, u))
+                        for w in g.neighbors(x) if w != y]
+
+            members, frontier = {e}, [e]
+            while frontier:
+                f = frontier.pop()
+                for h in adjacent(f):
+                    if rank(h) < rank(f) and h not in members:
+                        members.add(h)
+                        frontier.append(h)
+            expected = {e} | {h for f in members for h in adjacent(f)}
+            assert set(hashed) == {u * n + v for u, v in expected}
+            assert verdict.edges_evaluated == len(members)
