@@ -222,8 +222,6 @@ class TestRunGlobal:
         assignments, _ = run_global(bc, LL, SEED)
         assert not any(a.failed for a in assignments)
 
-
-class TestMaxLoadReport:
     def test_capacity_uniform_degenerates_to_least_loaded(self):
         # with equal capacities the relative-load rule IS least-loaded:
         # identical decisions on the identical instance
