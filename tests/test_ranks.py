@@ -375,22 +375,21 @@ class TestKeyFunctions:
             hashed.append(item)
             return real(state, item, universe)
 
+        def rank(f):
+            return rank_of(seed, FullPseudorandom(), f[0] * n + f[1], n * n)
+
+        def adjacent(f):
+            u, v = f
+            return [tuple(sorted((x, w))) for x, y in ((u, v), (v, u))
+                    for w in g.neighbors(x) if w != y]
+
         monkeypatch.setattr(ranks, "_rank_value", counting)
         for e in g.edges()[:40]:
             hashed.clear()
             verdict = is_matched(g, e, seed)
             walk_hashes = list(hashed)  # rank_of below hashes through it too
             assert len(walk_hashes) == len(set(walk_hashes))
-
             # the walk hashes the root and every edge next to a member
-            def rank(f):
-                return rank_of(seed, FullPseudorandom(), f[0] * n + f[1], n * n)
-
-            def adjacent(f):
-                u, v = f
-                return [tuple(sorted((x, w))) for x, y in ((u, v), (v, u))
-                        for w in g.neighbors(x) if w != y]
-
             members, frontier = {e}, [e]
             while frontier:
                 f = frontier.pop()
