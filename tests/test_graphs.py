@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -292,3 +294,147 @@ class TestTextFormats:
     def test_choices_duplicate_ball(self):
         with pytest.raises(ValueError, match="line 3"):
             load_choices(["choices n=2 m=3 d=1", "0 1", "0 2"])
+
+
+# Digests of generated hypergraphs and CNFs (edges or clauses with their
+# polarities, plus k and the dependency degree), so a refactor of the shared
+# sunflower construction cannot move any instance unnoticed.
+GENERATOR_CASES = [
+    (800, 40, 40, 2),
+    (200, 10, 40, 2),
+    (1000, 100, 8, 5),
+    (100, 10, 10, 0),  # d = 0: singleton clusters, every vertex used
+    (30, 7, 4, 0),
+    (2000, 200, 20, 2),
+    (70, 30, 5, 2),  # tight: the core needs k - 1 vertices
+    (12, 9, 2, 3),
+]
+
+GENERATOR_DIGESTS = {
+    (800, 40, 40, 2): (
+        "85af337473bb8c415127b4830571228c5278dc639c1cf60df537a34901cf6e96",
+        "cc35b21bf1f212cc7373dca2afb5c6e2e43bd1ccfd6f2beea852b45ef484f8b4",
+    ),
+    (200, 10, 40, 2): (
+        "e9b44aa4231f3a9a40f733439b40fac7513204fb4be41463ba381e6278fe9414",
+        "f2b7174c0e7830e109bb26600b5e2ee8fb44eea8ccfbed1797218e2d49ecca4f",
+    ),
+    (1000, 100, 8, 5): (
+        "8152409cec5b76c8c53bd93be954cea14af7104a8a7da8979caac16a189d325b",
+        "9d808da7bae76182e4be4b9ace91d309a7674fb0d58b08e94de75caf53663741",
+    ),
+    (100, 10, 10, 0): (
+        "3f4ea0c2935a66d63e1d88c182f646f0d5bf02dcaf4608d1bb0a22fbf058c326",
+        "b7bbdcdea7f99e26e3e223862c96405809317165b5498dae772ac0ef7c0d9b32",
+    ),
+    (30, 7, 4, 0): (
+        "b37531871b4ec6722a57b3752724452059d1b95e11f3648826ffff86caca602f",
+        "af703be9d176d83b83d12fb02681e31f11b815608d3b0157df4f0dd28761f1ef",
+    ),
+    (2000, 200, 20, 2): (
+        "ce74c6b8971cf032709ba9b4a02db50765b48e56e9b6c37fca42767b19c96217",
+        "0a275bc6a209a110b20170ec1b363017e27e3241efc76a7603e7efccd60446c2",
+    ),
+    (70, 30, 5, 2): (
+        "784cd9a403eb40105498ecefd783546fd299f5cde21c24c7e9e7a49c61060c64",
+        "081215fe48e332f9977fa5b89de0859bd32440bcebb6cd0f86510637fe1aa3c0",
+    ),
+    (12, 9, 2, 3): (
+        "5671d7a3fbabd22cec1933939883ca0a9ded7c03074d4331c212239afe5ee039",
+        "37a13876a19221e92f17bba9ef649110f7e36bfa06c1d87379e9a6976e73818a",
+    ),
+}
+
+
+def _instance_digest(inst):
+    body = inst.edges if isinstance(inst, Hypergraph) else inst.clauses
+    return hashlib.sha256(repr((inst.k, inst.dependency_degree, body)).encode()).hexdigest()
+
+
+def _messages(fn, calls):
+    out = []
+    for args in calls:
+        with pytest.raises(ValueError) as info:
+            fn(*args)
+        out.append(str(info.value))
+    return out
+
+
+GEN_INFEASIBLE = [
+    (10, 3, 1, 2),
+    (10, 0, 3, 2),
+    (2, 1, 3, 2),
+    (10, 2, 3, -1),
+    (20, 5, 5, 0),
+    (69, 30, 5, 2),
+    (50, 40, 20, 2),
+]
+
+GEN_MESSAGES = [
+    "need k >= 2",
+    "need n >= 1, m >= k, d >= 0",
+    "need n >= 1, m >= k, d >= 0",
+    "need n >= 1, m >= k, d >= 0",
+    "infeasible: 5 disjoint edges of size 5 need 25 vertices but only 20 are "
+    "available (d=0 allows no overlap)",
+    "infeasible: even with maximal overlap, 30 edges of size 5 with dependency "
+    "degree 2 need 70 vertices; m=69 given",
+    "infeasible: even with maximal overlap, 40 edges of size 20 with dependency "
+    "degree 2 need 306 vertices; m=50 given",
+]
+
+HYPERGRAPH_BAD = [
+    (-1, [(0, 1)]),
+    (6, [(0,)]),
+    (6, [(0, 1, 2), (3, 4)]),
+    (6, [(0, 1, 2), (3, 3, 9)]),
+    (6, [(0, 1, 2), (3, 4, 6)]),
+    (6, [(0, 1, 2), (-1, 4, 5)]),
+    (6, [(0, 1, 2), (3, 4, 6), (1, 1)]),
+]
+
+HYPERGRAPH_MESSAGES = [
+    "vertex count must be non-negative",
+    "hyperedges need at least 2 vertices",
+    "edge 1 has 2 vertices, expected 3",
+    "edge 1 repeats a vertex",
+    "edge 1 out of range for m=6",
+    "edge 1 out of range for m=6",
+    "edge 1 out of range for m=6",
+]
+
+CNF_BAD = [
+    (-1, [[(0, True)]]),
+    (6, [[]]),
+    (6, [[(0, True), (1, False)], [(2, True)]]),
+    (6, [[(0, True), (1, False)], [(2, True), (2, False)]]),
+    (6, [[(0, True), (1, False)], [(2, True), (6, False)]]),
+    (6, [[(0, True), (1, False)], [(-1, True), (3, False)], [(4, True)]]),
+]
+
+CNF_MESSAGES = [
+    "variable count must be non-negative",
+    "clauses must be non-empty",
+    "clause 1 has 1 literals, expected 2",
+    "clause 1 repeats a variable",
+    "clause 1 out of range for m=6",
+    "clause 1 out of range for m=6",
+]
+
+
+class TestGeneratorPins:
+    @pytest.mark.parametrize("params", GENERATOR_CASES, ids=str)
+    def test_pinned_instances(self, params):
+        tag = b"pin:%d:%d:%d:%d" % params
+        h = gen_hypergraph(derive_subseed(SEED, tag), *params)
+        f = gen_cnf(derive_subseed(SEED, tag), *params)
+        assert (_instance_digest(h), _instance_digest(f)) == GENERATOR_DIGESTS[params]
+
+    def test_pinned_generator_messages(self):
+        for gen in (gen_hypergraph, gen_cnf):
+            calls = [(SEED,) + args for args in GEN_INFEASIBLE]
+            assert _messages(gen, calls) == GEN_MESSAGES
+
+    def test_pinned_validation_messages(self):
+        assert _messages(Hypergraph.from_edges, HYPERGRAPH_BAD) == HYPERGRAPH_MESSAGES
+        assert _messages(CnfFormula.from_clauses, CNF_BAD) == CNF_MESSAGES
