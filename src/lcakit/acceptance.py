@@ -6,6 +6,12 @@ output checker), and enforces its tolerance and runtime budget.  The CLI
 ``accept`` subcommand and ``tests/test_acceptance.py`` both drive this
 module, so the gate is identical either way.
 
+A criterion is a body that returns ``(passed, details)``, registered in
+:data:`CRITERIA` by ``@_criterion(cid, name, budget)``.  The harness times
+the body and turns the pair into a :class:`CriterionResult`; a criterion
+with a wall-clock budget passes only if it also ran in under that many
+seconds, so each budget is written once, in its decorator.
+
 Statistical tolerances are pinned: oracle comparisons demand exact equality;
 sampling checks use 3-standard-error bands or pre-derived bounds; scaling
 checks use constants frozen from calibration runs at the fixed seed (noted
@@ -14,6 +20,7 @@ inline).
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -64,13 +71,39 @@ class CriterionResult:
         return f"{status} criterion {self.cid}: {self.name} ({self.elapsed:.1f}s{budget})"
 
 
+CRITERIA: dict[int, Callable[[], CriterionResult]] = {}
+
+
+def _criterion(cid: int, name: str, budget: float | None = None):
+    """Register a criterion body that returns ``(passed, details)``.
+
+    The registered function times the body and fails it unless it also ran
+    in under ``budget`` seconds, when a budget is given.
+    """
+
+    def register(body: Callable[[], tuple[bool, dict]]) -> Callable[[], CriterionResult]:
+        @functools.wraps(body)
+        def run() -> CriterionResult:
+            t0 = time.time()
+            passed, details = body()
+            elapsed = time.time() - t0
+            if budget is not None:
+                passed = passed and elapsed < budget
+            return CriterionResult(cid, name, passed, elapsed, budget, details)
+
+        CRITERIA[cid] = run
+        return run
+
+    return register
+
+
 def _seed() -> Seed:
     return Seed.from_hex(ACCEPT_SEED_HEX)
 
 
-def criterion_1() -> CriterionResult:
+@_criterion(1, "matching verdicts equal global greedy on every edge", 60)
+def criterion_1() -> tuple[bool, dict]:
     """Matching oracle equivalence: 100 seeds, n=1000, d=5, zero mismatches."""
-    t0 = time.time()
     seed = _seed()
     mismatched = 0
     not_maximal = 0
@@ -85,38 +118,25 @@ def criterion_1() -> CriterionResult:
             mismatched += 1
         if not matching.verify_maximal(g, local):
             not_maximal += 1
-    elapsed = time.time() - t0
-    passed = mismatched == 0 and not_maximal == 0 and elapsed < 60
-    return CriterionResult(
-        1,
-        "matching verdicts equal global greedy on every edge",
-        passed,
-        elapsed,
-        60,
-        {
-            "seeds": 100,
-            "edges_compared": edges_total,
-            "mismatched_runs": mismatched,
-            "non_maximal_runs": not_maximal,
-        },
-    )
+    passed = mismatched == 0 and not_maximal == 0
+    return passed, {
+        "seeds": 100,
+        "edges_compared": edges_total,
+        "mismatched_runs": mismatched,
+        "non_maximal_runs": not_maximal,
+    }
 
 
-def criterion_2() -> CriterionResult:
+@_criterion(2, "non-failed bin assignments equal the global run", 120)
+def criterion_2() -> tuple[bool, dict]:
     """Load-balancing oracle equivalence at n=m=10^4, d=2, three rules."""
-    t0 = time.time()
     seed = _seed()
     n = m = 10**4
     cap = ballsbins.default_cap(m)
-    combos = [
-        ("least-loaded", "uniform", None),
-        ("always-go-left", "grouped", None),
-        ("capacity", "capacity", [1] * m),
-    ]
     mismatches = 0
     failures = 0
     queries = 0
-    for name, scheme, caps in combos:
+    for name, caps in (("least-loaded", None), ("always-go-left", None), ("capacity", [1] * m)):
         rule = ballsbins.RULES[name]
         for i in range(20):
             bc = gen_bipartite_choices(
@@ -124,7 +144,7 @@ def criterion_2() -> CriterionResult:
                 n,
                 m,
                 2,
-                scheme,
+                rule.scheme,
                 capacities=caps,
             )
             rseed = derive_subseed(seed, b"c2:%s:ranks:%d" % (name.encode(), i))
@@ -137,22 +157,14 @@ def criterion_2() -> CriterionResult:
                 elif a.bin != b.bin:
                     mismatches += 1
     failure_rate = failures / queries
-    elapsed = time.time() - t0
-    passed = mismatches == 0 and failure_rate < 1e-3 and elapsed < 120
-    return CriterionResult(
-        2,
-        "non-failed bin assignments equal the global run",
-        passed,
-        elapsed,
-        120,
-        {
-            "queries": queries,
-            "mismatches": mismatches,
-            "failures": failures,
-            "failure_rate": failure_rate,
-            "cap": cap,
-        },
-    )
+    passed = mismatches == 0 and failure_rate < 1e-3
+    return passed, {
+        "queries": queries,
+        "mismatches": mismatches,
+        "failures": failures,
+        "failure_rate": failure_rate,
+        "cap": cap,
+    }
 
 
 def _chain_rule(v, x, deps):
@@ -163,9 +175,9 @@ def _greedy_rule(v, x, deps):
     return not any(o for _, o in deps)
 
 
-def criterion_3() -> CriterionResult:
+@_criterion(3, "micro-scale brute-force equivalence (chain + greedy rules)")
+def criterion_3() -> tuple[bool, dict]:
     """Local equals global on every vertex: 512 micro-instances x 100 seeds."""
-    t0 = time.time()
     seed = _seed()
     corpus = []
     for i in range(512):
@@ -195,21 +207,13 @@ def criterion_3() -> CriterionResult:
                     checks += 1
                     if out != trace.outputs[v]:
                         mismatches += 1
-    elapsed = time.time() - t0
     passed = mismatches == 0
-    return CriterionResult(
-        3,
-        "micro-scale brute-force equivalence (chain + greedy rules)",
-        passed,
-        elapsed,
-        None,
-        {"instances": len(corpus), "checks": checks, "mismatches": mismatches},
-    )
+    return passed, {"instances": len(corpus), "checks": checks, "mismatches": mismatches}
 
 
-def criterion_4() -> CriterionResult:
+@_criterion(4, "closure size: mean flat in n, max within C*log2(n)", 300)
+def criterion_4() -> tuple[bool, dict]:
     """Closure-size scaling: flat means, at most logarithmic maxima."""
-    t0 = time.time()
     seed = _seed()
     points = {}
     for gen in ("bounded", "binomial"):
@@ -230,35 +234,26 @@ def criterion_4() -> CriterionResult:
             ts = points[(gen, 2**p)]
             ratio_max = max(ratio_max, ts.max_size / math.log2(2**p))
             truncations += ts.truncated_trials
-    elapsed = time.time() - t0
     passed = (
         all(r < 2.0 for r in mean_ratios.values())
         and ratio_max <= MAX_OVER_LOG_BOUND
         and truncations == 0
-        and elapsed < 300
     )
-    return CriterionResult(
-        4,
-        "closure size: mean flat in n, max within C*log2(n)",
-        passed,
-        elapsed,
-        300,
-        {
-            "mean_ratio_by_generator": mean_ratios,
-            "max_over_log": ratio_max,
-            "bound": MAX_OVER_LOG_BOUND,
-            "means": {f"{g}:{2**p}": points[(g, 2**p)].mean_size
-                      for g in ("bounded", "binomial") for p in (10, 12, 14, 16)},
-            "maxima": {f"{g}:{2**p}": points[(g, 2**p)].max_size
-                       for g in ("bounded", "binomial") for p in (10, 12, 14, 16)},
-            "truncations": truncations,
-        },
-    )
+    return passed, {
+        "mean_ratio_by_generator": mean_ratios,
+        "max_over_log": ratio_max,
+        "bound": MAX_OVER_LOG_BOUND,
+        "means": {f"{g}:{2**p}": points[(g, 2**p)].mean_size
+                  for g in ("bounded", "binomial") for p in (10, 12, 14, 16)},
+        "maxima": {f"{g}:{2**p}": points[(g, 2**p)].max_size
+                   for g in ("bounded", "binomial") for p in (10, 12, 14, 16)},
+        "truncations": truncations,
+    }
 
 
-def criterion_5() -> CriterionResult:
+@_criterion(5, "branching-tree mean within 5%, tail slope <= -0.1", 30)
+def criterion_5() -> tuple[bool, dict]:
     """Subcritical branching trees: mean progeny 1/(1-d/L), exponential tail."""
-    t0 = time.time()
     seed = _seed()
     trials = 10**5
     expected_mean = 1 / (1 - 3 / 9)
@@ -277,25 +272,16 @@ def criterion_5() -> CriterionResult:
             "slope": slope,
             "all_extinct": all(s.extinct for s in samples),
         }
-    elapsed = time.time() - t0
     passed = (
         all(r["rel_err"] < 0.05 for r in results.values())
         and all(r["slope"] <= -0.1 for r in results.values())
-        and elapsed < 30
     )
-    return CriterionResult(
-        5,
-        "branching-tree mean within 5%, tail slope <= -0.1",
-        passed,
-        elapsed,
-        30,
-        {"expected_mean": expected_mean, "trials": trials, **results},
-    )
+    return passed, {"expected_mean": expected_mean, "trials": trials, **results}
 
 
-def criterion_6() -> CriterionResult:
+@_criterion(6, "path-closure frequency equals 1/k! (k=2, 5)", 60)
+def criterion_6() -> tuple[bool, dict]:
     """Full-path closure frequency matches 1/k! within 3 standard errors."""
-    t0 = time.time()
     seed = _seed()
     checks = {}
     for k, trials in ((2, 10**5), (5, 10**6)):
@@ -307,41 +293,27 @@ def criterion_6() -> CriterionResult:
             "expected": expected,
             "deviation_in_se": abs(freq - expected) / se,
         }
-    elapsed = time.time() - t0
-    passed = all(c["deviation_in_se"] <= 3.0 for c in checks.values()) and elapsed < 60
-    return CriterionResult(
-        6,
-        "path-closure frequency equals 1/k! (k=2, 5)",
-        passed,
-        elapsed,
-        60,
-        {str(k): v for k, v in checks.items()},
-    )
+    return all(c["deviation_in_se"] <= 3.0 for c in checks.values()), {str(k): v for k, v in checks.items()}
 
 
-def criterion_7() -> CriterionResult:
+@_criterion(7, "valid 2-colorings and satisfying assignments; probes within C*log^4(n)")
+def criterion_7() -> tuple[bool, dict]:
     """Coloring and CNF validity over 50 seeds plus a probe-scaling sweep."""
-    t0 = time.time()
     seed = _seed()
     k, d = 40, 2
     outcomes = {}
-    for label in ("coloring", "ksat"):
+    for label, problem in coloring.PROBLEMS.items():
         failures = 0
         invalid = 0
         for i in range(50):
             iseed = derive_subseed(seed, b"c7:%s:inst:%d" % (label.encode(), i))
             rseed = derive_subseed(seed, b"c7:%s:ranks:%d" % (label.encode(), i))
             try:
-                if label == "coloring":
-                    h = gen_hypergraph(iseed, 800, 40, k, d)
-                    colors = coloring.color_all(h, rseed)
-                    if not coloring.verify_coloring(h, colors):
-                        invalid += 1
-                else:
-                    f = gen_cnf(iseed, 800, 40, k, d)
-                    values = coloring.sat_all(f, rseed)
-                    if not coloring.verify_assignment(f, values):
-                        invalid += 1
+                inst = problem.generate(iseed, 800, 40, k, d)
+                state = problem.state(inst, rseed)
+                values = [problem.render(state.query(x)[0]) for x in range(inst.m)]
+                if not problem.verify(inst, values):
+                    invalid += 1
             except coloring.ColoringFailure:
                 failures += 1
         outcomes[label] = {
@@ -366,25 +338,17 @@ def criterion_7() -> CriterionResult:
         ratio = worst / math.log2(n_edges) ** 4
         probe_stats[n_edges] = {"max_probes": worst, "ratio": ratio}
         probe_ratio_max = max(probe_ratio_max, ratio)
-    elapsed = time.time() - t0
     passed = (
         all(o["invalid"] == 0 for o in outcomes.values())
         and all(o["failure_rate"] < 0.01 for o in outcomes.values())
         and probe_ratio_max <= PROBES_OVER_LOG4_BOUND
     )
-    return CriterionResult(
-        7,
-        "valid 2-colorings and satisfying assignments; probes within C*log^4(n)",
-        passed,
-        elapsed,
-        None,
-        {
-            **outcomes,
-            "probe_ratio_max": probe_ratio_max,
-            "probe_bound": PROBES_OVER_LOG4_BOUND,
-            "probe_stats": {str(k_): v for k_, v in probe_stats.items()},
-        },
-    )
+    return passed, {
+        **outcomes,
+        "probe_ratio_max": probe_ratio_max,
+        "probe_bound": PROBES_OVER_LOG4_BOUND,
+        "probe_stats": {str(k_): v for k_, v in probe_stats.items()},
+    }
 
 
 def _shuffled_queries(seed: Seed, label: bytes, population: int, count: int) -> tuple:
@@ -397,9 +361,9 @@ def _shuffled_queries(seed: Seed, label: bytes, population: int, count: int) -> 
     return order1, order2
 
 
-def criterion_8() -> CriterionResult:
+@_criterion(8, "answers independent of query order and equal to the full solution")
+def criterion_8() -> tuple[bool, dict]:
     """Query-order obliviousness and full-solution consistency, every algorithm."""
-    t0 = time.time()
     seed = _seed()
     violations = 0
     runs = 0
@@ -418,14 +382,15 @@ def criterion_8() -> CriterionResult:
             violations += 1
 
         # balls and bins
+        rule = ballsbins.RULES["least-loaded"]
         bc = gen_bipartite_choices(
-            derive_subseed(seed, b"c8:b:inst:%d" % i), 1000, 1000, 2, "uniform"
+            derive_subseed(seed, b"c8:b:inst:%d" % i), 1000, 1000, 2, rule.scheme
         )
         rseed = derive_subseed(seed, b"c8:b:ranks:%d" % i)
-        full, _ = ballsbins.assign_all(bc, ballsbins.RULES["least-loaded"], rseed)
+        full, _ = ballsbins.assign_all(bc, rule, rseed)
         o1, o2 = _shuffled_queries(rseed, b"c8:b:q", 1000, 50)
-        q1 = {b: ballsbins.assign_query(bc, b, ballsbins.RULES["least-loaded"], rseed) for b in o1}
-        q2 = {b: ballsbins.assign_query(bc, b, ballsbins.RULES["least-loaded"], rseed) for b in o2}
+        q1 = {b: ballsbins.assign_query(bc, b, rule, rseed) for b in o1}
+        q2 = {b: ballsbins.assign_query(bc, b, rule, rseed) for b in o2}
         runs += 1
         if q1 != q2 or any(q1[b] != full[b] for b in q1):
             violations += 1
@@ -448,21 +413,13 @@ def criterion_8() -> CriterionResult:
             runs += 1
             if r1 != r2 or any(r1[x] != full_solution[x] for x in r1):
                 violations += 1
-    elapsed = time.time() - t0
     passed = violations == 0
-    return CriterionResult(
-        8,
-        "answers independent of query order and equal to the full solution",
-        passed,
-        elapsed,
-        None,
-        {"runs": runs, "violations": violations},
-    )
+    return passed, {"runs": runs, "violations": violations}
 
 
-def criterion_9() -> CriterionResult:
+@_criterion(9, "every 3-subset order frequency within 0.05 of 1/6 (exhaustive)", 10)
+def criterion_9() -> tuple[bool, dict]:
     """Exact order uniformity of the polynomial ordering (k=3, p=31, n=8)."""
-    t0 = time.time()
     import numpy as np
 
     p, n = 31, 8
@@ -489,73 +446,38 @@ def criterion_9() -> CriterionResult:
                     continue
                 freqs = counts[[0, 1, 3, 4, 6, 7]] / total
                 worst = max(worst, float(np.abs(freqs - 1 / 6).max()))
-    elapsed = time.time() - t0
-    passed = worst <= 0.05 and elapsed < 10
-    return CriterionResult(
-        9,
-        "every 3-subset order frequency within 0.05 of 1/6 (exhaustive)",
-        passed,
-        elapsed,
-        10,
-        {"triples": total, "subsets": subsets, "worst_deviation": worst},
-    )
+    passed = worst <= 0.05
+    return passed, {"triples": total, "subsets": subsets, "worst_deviation": worst}
 
 
-def criterion_10() -> CriterionResult:
+@_criterion(10, "two-choice max load within bound; grouped rule no worse on average")
+def criterion_10() -> tuple[bool, dict]:
     """Max-load sanity at n=m=10^4: two-choice bound, grouped rule no worse."""
-    t0 = time.time()
     seed = _seed()
     n = m = 10**4
     bound = math.ceil(math.log2(math.log2(n))) + 4
     ll_max = []
     agl_max = []
     for i in range(50):
-        bc = gen_bipartite_choices(
-            derive_subseed(seed, b"c10:u:inst:%d" % i), n, m, 2, "uniform"
-        )
-        _, prof = ballsbins.run_global(
-            bc, ballsbins.RULES["least-loaded"], derive_subseed(seed, b"c10:u:ranks:%d" % i)
-        )
-        ll_max.append(prof.max_load)
-        bcg = gen_bipartite_choices(
-            derive_subseed(seed, b"c10:g:inst:%d" % i), n, m, 2, "grouped"
-        )
-        _, prof = ballsbins.run_global(
-            bcg, ballsbins.RULES["always-go-left"], derive_subseed(seed, b"c10:g:ranks:%d" % i)
-        )
-        agl_max.append(prof.max_load)
+        for tag, name, out in ((b"u", "least-loaded", ll_max), (b"g", "always-go-left", agl_max)):
+            rule = ballsbins.RULES[name]
+            bc = gen_bipartite_choices(
+                derive_subseed(seed, b"c10:%s:inst:%d" % (tag, i)), n, m, 2, rule.scheme
+            )
+            _, prof = ballsbins.run_global(
+                bc, rule, derive_subseed(seed, b"c10:%s:ranks:%d" % (tag, i))
+            )
+            out.append(prof.max_load)
     within = sum(1 for x in ll_max if x <= bound) / len(ll_max)
     ll_mean = sum(ll_max) / len(ll_max)
     agl_mean = sum(agl_max) / len(agl_max)
-    elapsed = time.time() - t0
     passed = within >= 0.95 and agl_mean <= ll_mean
-    return CriterionResult(
-        10,
-        "two-choice max load within bound; grouped rule no worse on average",
-        passed,
-        elapsed,
-        None,
-        {
-            "bound": bound,
-            "fraction_within_bound": within,
-            "least_loaded_mean_max": ll_mean,
-            "always_go_left_mean_max": agl_mean,
-        },
-    )
-
-
-CRITERIA: dict[int, Callable[[], CriterionResult]] = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
-    10: criterion_10,
-}
+    return passed, {
+        "bound": bound,
+        "fraction_within_bound": within,
+        "least_loaded_mean_max": ll_mean,
+        "always_go_left_mean_max": agl_mean,
+    }
 
 
 def run_all(ids: list[int] | None = None) -> list[CriterionResult]:

@@ -64,6 +64,7 @@ class DecisionRule:
     """Base: pick a bin from the ball's choices given their current loads."""
 
     name = "abstract"
+    scheme: str  # the gen_bipartite_choices scheme whose instances it reads
 
     def validate(self, bc: BipartiteChoices) -> None:
         """Raise if the instance lacks the metadata this rule needs."""
@@ -78,6 +79,7 @@ class LeastLoaded(DecisionRule):
     """Least loaded of the d choices; ties go to the lowest bin id."""
 
     name = "least-loaded"
+    scheme = "uniform"
 
     def choose(self, bc, ball, load_of):
         best = None
@@ -96,6 +98,7 @@ class AlwaysGoLeft(DecisionRule):
     """
 
     name = "always-go-left"
+    scheme = "grouped"
 
     def validate(self, bc):
         if bc.group_of is None:
@@ -121,6 +124,7 @@ class CapacityWeighted(DecisionRule):
     """
 
     name = "capacity"
+    scheme = "capacity"
 
     def validate(self, bc):
         if bc.capacities is None:
@@ -149,6 +153,7 @@ class CircleNearest(LeastLoaded):
     bins by construction); ties go to the lowest bin id."""
 
     name = "circle"
+    scheme = "circle"
 
     def validate(self, bc):
         if bc.positions is None:

@@ -123,11 +123,22 @@ def _ordering(name: str, kwise_k: int, universe: int):
 
 
 def _generate(fn, *args, **kwargs):
+    """Call fn; a ValueError (from an instance generator) exits with code 3."""
     try:
         return fn(*args, **kwargs)
     except ValueError as exc:
         click.echo(f"instance generation failed: {exc}", err=True)
         sys.exit(EXIT_GENERATION)
+
+
+def _int_list(text: str, flag: str) -> list[int]:
+    """Parse a comma-separated integer flag value; blank items are skipped."""
+    try:
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise click.BadParameter(
+            "expected comma-separated integers", param_hint=f"'{flag}'"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -157,38 +168,32 @@ def _gw_worker(args) -> list[int]:
     return out
 
 
+def _load_instance(kind: str, input_path: str):
+    with open(input_path) as fh:
+        return coloring.PROBLEMS[kind].load(fh)
+
+
 def _coloring_worker(args) -> dict:
     (kind, m, n, k, d, lenient, seed_hex, trial, input_path) = args
+    problem = coloring.PROBLEMS[kind]
     seed = Seed.from_hex(seed_hex)
     iseed = derive_subseed(seed, b"instance:%d" % trial)
     rseed = derive_subseed(seed, b"ranks:%d" % trial)
     params = coloring.ColoringParams(lenient=lenient)
     out = {"trial": trial, "failed": False, "valid": None, "phases": {}, "max_probes": 0}
     try:
-        if kind == "coloring":
-            if input_path is not None:
-                with open(input_path) as fh:
-                    inst = graphs.load_hypergraph(fh)
-            else:
-                inst = graphs.gen_hypergraph(iseed, m, n, k, d)
-            state = coloring.coloring_state(inst, rseed, params)
+        if input_path is not None:
+            inst = _load_instance(kind, input_path)
         else:
-            if input_path is not None:
-                with open(input_path) as fh:
-                    inst = graphs.load_cnf(fh)
-            else:
-                inst = graphs.gen_cnf(iseed, m, n, k, d)
-            state = coloring.sat_state(inst, rseed, params)
+            inst = problem.generate(iseed, m, n, k, d)
+        state = problem.state(inst, rseed, params)
         values = []
         for x in range(inst.m):
             val, phase, probes = state.query(x)
-            values.append(val)
+            values.append(problem.render(val))
             out["phases"][str(phase)] = out["phases"].get(str(phase), 0) + 1
             out["max_probes"] = max(out["max_probes"], probes)
-        if kind == "coloring":
-            out["valid"] = coloring.verify_coloring(inst, values)
-        else:
-            out["valid"] = coloring.verify_assignment(inst, [bool(v) for v in values])
+        out["valid"] = problem.verify(inst, values)
         out["values"] = values
     except coloring.ColoringFailure as exc:
         out["failed"] = True
@@ -197,13 +202,13 @@ def _coloring_worker(args) -> dict:
 
 
 def _ballsbins_worker(args) -> dict:
-    (n, m, d, rule_name, scheme, caps, cap, trial, seed_hex) = args
+    (n, m, d, rule_name, caps, cap, trial, seed_hex) = args
     seed = Seed.from_hex(seed_hex)
+    rule = ballsbins.RULES[rule_name]
     bc = graphs.gen_bipartite_choices(
-        derive_subseed(seed, b"instance:%d" % trial), n, m, d, scheme, capacities=caps
+        derive_subseed(seed, b"instance:%d" % trial), n, m, d, rule.scheme, capacities=caps
     )
     rseed = derive_subseed(seed, b"ranks:%d" % trial)
-    rule = ballsbins.RULES[rule_name]
     assignments, profile = ballsbins.assign_all(bc, rule, rseed, cap=cap)
     return {
         "trial": trial,
@@ -259,17 +264,13 @@ def _finish(ctx, subcommand: str, spec: dict, results: dict, csv_rows=None, t0=N
 def tree_stats_cmd(ctx, generator, n, d, instances, queries, cap, thresholds):
     """Relevant-set size statistics over many (instance, root) trials."""
     t0 = time.time()
-    thresh = tuple(int(x) for x in thresholds.split(",") if x.strip())
+    thresh = tuple(_int_list(thresholds, "--thresholds"))
     if generator == "binomial" and d >= n:
         raise click.UsageError("binomial generator needs d < n")
     args = [
         (generator, n, d, queries, cap, ctx.obj["seed_hex"], i) for i in range(instances)
     ]
-    try:
-        chunks = _parallel_map(_tree_stats_worker, args, ctx.obj["jobs"])
-    except ValueError as exc:
-        click.echo(f"instance generation failed: {exc}", err=True)
-        sys.exit(EXIT_GENERATION)
+    chunks = _generate(_parallel_map, _tree_stats_worker, args, ctx.obj["jobs"])
     sizes: list[int] = []
     truncated = 0
     for chunk_sizes, chunk_trunc in chunks:
@@ -301,7 +302,8 @@ def tree_stats_cmd(ctx, generator, n, d, instances, queries, cap, thresholds):
 @click.option("--d", type=click.IntRange(0), default=3, show_default=True)
 @click.option("--big-l", "big_l", type=click.IntRange(1), default=9, show_default=True)
 @click.option("--n", type=click.IntRange(1), default=10000, show_default=True)
-@click.option("--q", type=float, default=None, help="binomial offspring probability; defaults to d/(n*L)")
+@click.option("--q", type=click.FloatRange(0, 1), default=None,
+              help="binomial offspring probability; defaults to d/(n*L)")
 @click.option("--trials", type=click.IntRange(1), default=10000, show_default=True)
 @click.option("--cap", type=click.IntRange(1), default=1 << 20, show_default=True)
 @click.option("--slope-range", default="5,30", show_default=True)
@@ -451,137 +453,134 @@ def matching_cmd(ctx, n, d, cap, edge, trials, ordering, kwise_k, failure_budget
         sys.exit(EXIT_BUDGET)
 
 
-def _coloring_like(ctx, kind, m, n, k, d, trials, lenient, failure_budget, t0, input_path=None):
-    args = [
-        (kind, m, n, k, d, lenient, ctx.obj["seed_hex"], t, input_path)
-        for t in range(trials)
-    ]
-    if input_path is None:
-        # probe generation errors once up front (workers would each hit the same)
-        _generate(
-            graphs.gen_hypergraph if kind == "coloring" else graphs.gen_cnf,
-            derive_subseed(ctx.obj["seed"], b"instance:0"),
-            m,
-            n,
-            k,
-            d,
+def _coloring_command(kind: str, help_text: str, input_help: str) -> None:
+    """Register the ``coloring`` or ``ksat`` command; they differ only in
+    which :data:`coloring.PROBLEMS` entry they run."""
+    problem = coloring.PROBLEMS[kind]
+
+    @main.command(kind, help=help_text)
+    @click.option("--m", type=click.IntRange(1), default=800, show_default=True)
+    @click.option("--n", type=click.IntRange(1), default=40, show_default=True)
+    @click.option("--k", type=click.IntRange(2), default=40, show_default=True)
+    @click.option("--d", type=click.IntRange(0), default=2, show_default=True)
+    @click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False),
+                  default=None, help=input_help)
+    @click.option("--trials", type=click.IntRange(1), default=1, show_default=True)
+    @click.option("--strict/--lenient", "strict", default=True, show_default=True)
+    @click.option("--failure-budget", type=click.FloatRange(0), default=0.01, show_default=True)
+    @click.pass_context
+    def command(ctx, m, n, k, d, input_path, trials, strict, failure_budget):
+        t0 = time.time()
+        lenient = not strict
+        if input_path is not None:
+            try:
+                inst = _load_instance(kind, input_path)
+            except (OSError, ValueError) as exc:
+                raise click.UsageError(f"cannot load {input_path}: {exc}")
+            m, n, k, d = inst.m, inst.n, inst.k, inst.dependency_degree
+        try:
+            if n > 0:
+                coloring.compute_thresholds(k, d, lenient=lenient)
+        except coloring.ThresholdError as exc:
+            raise click.UsageError(str(exc))
+        args = [
+            (kind, m, n, k, d, lenient, ctx.obj["seed_hex"], t, input_path)
+            for t in range(trials)
+        ]
+        outs = _generate(_parallel_map, _coloring_worker, args, ctx.obj["jobs"])
+        failures = sum(1 for o in outs if o["failed"])
+        invalid = sum(1 for o in outs if o["valid"] is False)
+        phases: dict[str, int] = {}
+        max_probes = 0
+        for o in outs:
+            for ph, count in o["phases"].items():
+                phases[ph] = phases.get(ph, 0) + count
+            max_probes = max(max_probes, o["max_probes"])
+        rendered = next((o["values"] for o in outs if not o["failed"]), [])
+        results = {
+            "trials": trials,
+            "failures": failures,
+            "invalid": invalid,
+            "phase_histogram": phases,
+            "max_probes": max_probes,
+            "first_trial_values": rendered,
+            "per_trial": [
+                {
+                    "trial": o["trial"],
+                    "failed": o["failed"],
+                    "valid": o["valid"],
+                    "max_probes": o["max_probes"],
+                    **({"reason": o["reason"]} if "reason" in o else {}),
+                }
+                for o in outs
+            ],
+        }
+        spec = {
+            "seed": ctx.obj["seed_hex"],
+            "m": m,
+            "n": n,
+            "k": k,
+            "d": d,
+            "trials": trials,
+            "lenient": lenient,
+            "input": input_path,
+        }
+        _finish(
+            ctx,
+            kind,
+            spec,
+            results,
+            csv_rows=lambda: (
+                ["item", "value"],
+                list(enumerate(rendered)),
+            ),
+            t0=t0,
         )
-    outs = _parallel_map(_coloring_worker, args, ctx.obj["jobs"])
-    failures = sum(1 for o in outs if o["failed"])
-    invalid = sum(1 for o in outs if o["valid"] is False)
-    phases: dict[str, int] = {}
-    max_probes = 0
-    for o in outs:
-        for ph, count in o["phases"].items():
-            phases[ph] = phases.get(ph, 0) + count
-        max_probes = max(max_probes, o["max_probes"])
-    first_values = next((o["values"] for o in outs if not o["failed"]), [])
-    if kind == "coloring":
-        rendered = [coloring.COLORS[v] for v in first_values]
-    else:
-        rendered = [bool(v) for v in first_values]
-    results = {
-        "trials": trials,
-        "failures": failures,
-        "invalid": invalid,
-        "phase_histogram": phases,
-        "max_probes": max_probes,
-        "first_trial_values": rendered,
-        "per_trial": [
-            {
-                "trial": o["trial"],
-                "failed": o["failed"],
-                "valid": o["valid"],
-                "max_probes": o["max_probes"],
-                **({"reason": o["reason"]} if "reason" in o else {}),
-            }
-            for o in outs
-        ],
-    }
-    spec = {
-        "seed": ctx.obj["seed_hex"],
-        "m": m,
-        "n": n,
-        "k": k,
-        "d": d,
-        "trials": trials,
-        "lenient": lenient,
-        "input": input_path,
-    }
-    _finish(
-        ctx,
-        kind,
-        spec,
-        results,
-        csv_rows=lambda: (
-            ["item", "value"],
-            list(enumerate(rendered)),
-        ),
-        t0=t0,
-    )
-    if (failures + invalid) / trials > failure_budget:
-        click.echo(f"failure budget exceeded: {failures + invalid}/{trials}", err=True)
-        sys.exit(EXIT_BUDGET)
+        if (failures + invalid) / trials > failure_budget:
+            click.echo(f"failure budget exceeded: {failures + invalid}/{trials}", err=True)
+            sys.exit(EXIT_BUDGET)
 
 
-def _load_instance_params(kind: str, input_path: str):
-    loader = graphs.load_hypergraph if kind == "coloring" else graphs.load_cnf
-    try:
-        with open(input_path) as fh:
-            inst = loader(fh)
-    except (OSError, ValueError) as exc:
-        raise click.UsageError(f"cannot load {input_path}: {exc}")
-    return inst.m, inst.n, inst.k, inst.dependency_degree
+_coloring_command(
+    "coloring",
+    "Query-complete hypergraph 2-colorings with validity checking.",
+    "hypergraph file to color instead of generating",
+)
+_coloring_command(
+    "ksat",
+    "Query-complete satisfying assignments with validity checking.",
+    "DIMACS file to satisfy instead of generating",
+)
 
 
-@main.command("coloring")
-@click.option("--m", type=click.IntRange(1), default=800, show_default=True)
-@click.option("--n", type=click.IntRange(1), default=40, show_default=True)
-@click.option("--k", type=click.IntRange(2), default=40, show_default=True)
-@click.option("--d", type=click.IntRange(0), default=2, show_default=True)
-@click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="hypergraph file to color instead of generating")
-@click.option("--trials", type=click.IntRange(1), default=1, show_default=True)
-@click.option("--strict/--lenient", "strict", default=True, show_default=True)
-@click.option("--failure-budget", type=click.FloatRange(0), default=0.01, show_default=True)
-@click.pass_context
-def coloring_cmd(ctx, m, n, k, d, input_path, trials, strict, failure_budget):
-    """Query-complete hypergraph 2-colorings with validity checking."""
-    t0 = time.time()
-    if input_path is not None:
-        m, n, k, d = _load_instance_params("coloring", input_path)
-    try:
-        if n > 0:
-            coloring.compute_thresholds(k, d, lenient=not strict)
-    except coloring.ThresholdError as exc:
-        raise click.UsageError(str(exc))
-    _coloring_like(ctx, "coloring", m, n, k, d, trials, not strict, failure_budget,
-                   t0, input_path)
+def _capacities(scheme: str, n: int, m: int, path: str | None = None) -> list[int] | None:
+    """Bin capacities for a ``capacity``-scheme instance, else None.
 
-
-@main.command("ksat")
-@click.option("--m", type=click.IntRange(1), default=800, show_default=True)
-@click.option("--n", type=click.IntRange(1), default=40, show_default=True)
-@click.option("--k", type=click.IntRange(2), default=40, show_default=True)
-@click.option("--d", type=click.IntRange(0), default=2, show_default=True)
-@click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="DIMACS file to satisfy instead of generating")
-@click.option("--trials", type=click.IntRange(1), default=1, show_default=True)
-@click.option("--strict/--lenient", "strict", default=True, show_default=True)
-@click.option("--failure-budget", type=click.FloatRange(0), default=0.01, show_default=True)
-@click.pass_context
-def ksat_cmd(ctx, m, n, k, d, input_path, trials, strict, failure_budget):
-    """Query-complete satisfying assignments with validity checking."""
-    t0 = time.time()
-    if input_path is not None:
-        m, n, k, d = _load_instance_params("ksat", input_path)
-    try:
-        if n > 0:
-            coloring.compute_thresholds(k, d, lenient=not strict)
-    except coloring.ThresholdError as exc:
-        raise click.UsageError(str(exc))
-    _coloring_like(ctx, "ksat", m, n, k, d, trials, not strict, failure_budget,
-                   t0, input_path)
+    Read from ``path`` (one integer per line), or else split ``n`` balls as
+    evenly as possible over ``m`` bins.
+    """
+    if scheme != "capacity":
+        return None
+    if path is None:
+        base, extra = divmod(n, m)
+        if base == 0:
+            raise click.UsageError(
+                f"the capacity rule splits --n {n} balls evenly over --m {m} bins, "
+                "which leaves a bin with capacity 0; use --n >= --m"
+            )
+        return [base + (1 if i < extra else 0) for i in range(m)]
+    with open(path) as fh:
+        try:
+            caps = [int(line) for line in fh if line.strip()]
+        except ValueError:
+            raise click.BadParameter(
+                "every non-blank line must be one integer", param_hint="'--capacities'"
+            ) from None
+    if any(c <= 0 for c in caps):
+        raise click.BadParameter(
+            "every capacity must be positive", param_hint="'--capacities'"
+        )
+    return caps
 
 
 @main.command("balls-bins")
@@ -599,39 +598,10 @@ def ksat_cmd(ctx, m, n, k, d, input_path, trials, strict, failure_budget):
 def balls_bins_cmd(ctx, n, m, d, rule, capacities, cap_constant, trials, failure_budget):
     """Local load balancing: failure rate, max-load and probe statistics."""
     t0 = time.time()
-    scheme = {
-        "least-loaded": "uniform",
-        "always-go-left": "grouped",
-        "capacity": "capacity",
-        "circle": "circle",
-    }[rule]
-    caps = None
-    if scheme == "capacity":
-        if capacities is not None:
-            with open(capacities) as fh:
-                try:
-                    caps = [int(line) for line in fh if line.strip()]
-                except ValueError:
-                    raise click.BadParameter(
-                        "every non-blank line must be one integer", param_hint="'--capacities'"
-                    ) from None
-        else:
-            base, extra = divmod(n, m)
-            caps = [base + (1 if i < extra else 0) for i in range(m)]
+    caps = _capacities(ballsbins.RULES[rule].scheme, n, m, capacities)
     cap = ballsbins.default_cap(m, cap_constant)
-    args = [
-        (n, m, d, rule, scheme, caps, cap, t, ctx.obj["seed_hex"]) for t in range(trials)
-    ]
-    _generate(
-        graphs.gen_bipartite_choices,
-        derive_subseed(ctx.obj["seed"], b"instance:0"),
-        n,
-        m,
-        d,
-        scheme,
-        capacities=caps,
-    )
-    outs = _parallel_map(_ballsbins_worker, args, ctx.obj["jobs"])
+    args = [(n, m, d, rule, caps, cap, t, ctx.obj["seed_hex"]) for t in range(trials)]
+    outs = _generate(_parallel_map, _ballsbins_worker, args, ctx.obj["jobs"])
     failures = sum(o["failures"] for o in outs)
     queries = trials * n
     failure_rate = failures / max(1, queries)
@@ -693,6 +663,8 @@ def oracle_compare_cmd(ctx, target, n, m, d, rule, trials, cap):
     """Compare every local answer against the global oracle run."""
     t0 = time.time()
     seed = ctx.obj["seed"]
+    the_rule = ballsbins.RULES[rule]
+    caps = _capacities(the_rule.scheme, n, m) if target == "balls-bins" else None
     mismatches = 0
     failures = 0
     compared = 0
@@ -712,8 +684,8 @@ def oracle_compare_cmd(ctx, target, n, m, d, rule, trials, cap):
             if local != matching.greedy_by_rank(g, rseed):
                 mismatches += 1
         else:
-            bc = _generate(graphs.gen_bipartite_choices, iseed, n, m, d, "uniform")
-            the_rule = ballsbins.RULES[rule]
+            bc = _generate(graphs.gen_bipartite_choices, iseed, n, m, d, the_rule.scheme,
+                           capacities=caps)
             glob, _ = ballsbins.run_global(bc, the_rule, rseed)
             local_assignments, _ = ballsbins.assign_all(bc, the_rule, rseed, cap=cap)
             for a, b in zip(glob, local_assignments):
@@ -787,7 +759,13 @@ def lower_bound_cmd(ctx, path_len, trials):
 @click.pass_context
 def accept_cmd(ctx, only):
     """Run the acceptance suite; one PASS/FAIL line per criterion."""
-    ids = [int(x) for x in only.split(",") if x.strip()] or None
+    ids = _int_list(only, "--only")
+    unknown = sorted(set(ids) - set(acceptance.CRITERIA))
+    if unknown:
+        raise click.BadParameter(
+            f"unknown criterion ids {unknown}; known: {sorted(acceptance.CRITERIA)}",
+            param_hint="'--only'",
+        )
     results = acceptance.run_all(ids)
     for r in results:
         click.echo(r.line())

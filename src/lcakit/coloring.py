@@ -27,10 +27,17 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .exploration import _closure, ilog2ceil
-from .graphs import CnfFormula, Hypergraph
+from .graphs import (
+    CnfFormula,
+    Hypergraph,
+    gen_cnf,
+    gen_hypergraph,
+    load_cnf,
+    load_hypergraph,
+)
 from .ranks import (
     FullPseudorandom,
     OrderingKind,
@@ -632,3 +639,23 @@ def verify_assignment(f: CnfFormula, assignment: Sequence[bool]) -> bool:
         if not any(bool(assignment[v]) == s for v, s in clause):
             return False
     return True
+
+
+class Problem(NamedTuple):
+    """One problem end to end: its generator (seed, m, n, k, d), text loader,
+    query-state factory, and checker, which reads values as ``render`` maps
+    them from a query's 0/1 value."""
+
+    generate: Callable
+    load: Callable
+    state: Callable
+    verify: Callable
+    render: Callable
+
+
+PROBLEMS: dict[str, Problem] = {
+    "coloring": Problem(
+        gen_hypergraph, load_hypergraph, coloring_state, verify_coloring, COLORS.__getitem__
+    ),
+    "ksat": Problem(gen_cnf, load_cnf, sat_state, verify_assignment, bool),
+}

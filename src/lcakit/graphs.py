@@ -162,6 +162,25 @@ def gen_binomial(seed: Seed, n: int, d: float) -> LocalGraph:
 # ---------------------------------------------------------------------------
 
 
+def _incidence(
+    m: int, var_sets: Sequence[Sequence[int]]
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Per-item constraint ids, and the dependency degree: the most other
+    constraints any one constraint shares an item with."""
+    incidence: list[list[int]] = [[] for _ in range(m)]
+    for ci, vs in enumerate(var_sets):
+        for v in vs:
+            incidence[v].append(ci)
+    dep = 0
+    for ci, vs in enumerate(var_sets):
+        others = set()
+        for v in vs:
+            others.update(incidence[v])
+        others.discard(ci)
+        dep = max(dep, len(others))
+    return tuple(tuple(ids) for ids in incidence), dep
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """k-uniform hypergraph with a per-vertex incidence transpose.
@@ -187,7 +206,6 @@ class Hypergraph:
         if k < 2:
             raise ValueError("hyperedges need at least 2 vertices")
         cleaned = []
-        incidence: list[list[int]] = [[] for _ in range(m)]
         for ei, edge in enumerate(edges):
             vs = tuple(sorted(edge))
             if len(vs) != k:
@@ -197,23 +215,7 @@ class Hypergraph:
             if vs[0] < 0 or vs[-1] >= m:
                 raise ValueError(f"edge {ei} out of range for m={m}")
             cleaned.append(vs)
-            for v in vs:
-                incidence[v].append(ei)
-        dep = 0
-        for ei, vs in enumerate(cleaned):
-            others = set()
-            for v in vs:
-                others.update(incidence[v])
-            others.discard(ei)
-            dep = max(dep, len(others))
-        return cls(
-            m,
-            len(cleaned),
-            k,
-            tuple(cleaned),
-            tuple(tuple(ids) for ids in incidence),
-            dep,
-        )
+        return cls(m, len(cleaned), k, tuple(cleaned), *_incidence(m, cleaned))
 
     def vertices_of(self, e: int) -> tuple[int, ...]:
         return self.edges[e]
@@ -251,7 +253,6 @@ class CnfFormula:
         if k < 1:
             raise ValueError("clauses must be non-empty")
         cleaned = []
-        incidence: list[list[int]] = [[] for _ in range(m)]
         for ci, clause in enumerate(clauses):
             lits = tuple(sorted((int(v), bool(s)) for v, s in clause))
             if len(lits) != k:
@@ -262,23 +263,8 @@ class CnfFormula:
             if vs[0] < 0 or vs[-1] >= m:
                 raise ValueError(f"clause {ci} out of range for m={m}")
             cleaned.append(lits)
-            for v in vs:
-                incidence[v].append(ci)
-        dep = 0
-        for ci, lits in enumerate(cleaned):
-            others = set()
-            for v, _ in lits:
-                others.update(incidence[v])
-            others.discard(ci)
-            dep = max(dep, len(others))
-        return cls(
-            m,
-            len(cleaned),
-            k,
-            tuple(cleaned),
-            tuple(tuple(ids) for ids in incidence),
-            dep,
-        )
+        var_sets = [[v for v, _ in lits] for lits in cleaned]
+        return cls(m, len(cleaned), k, tuple(cleaned), *_incidence(m, var_sets))
 
     def vars_of(self, c: int) -> tuple[int, ...]:
         return tuple(v for v, _ in self.clauses[c])
@@ -320,6 +306,37 @@ def _cluster_plan(m: int, n: int, k: int, d: int) -> tuple[list[int], int]:
     return sizes, c
 
 
+def _sunflowers(
+    seed: Seed, domain: bytes, m: int, n: int, k: int, d: int
+) -> tuple[RandomStream, list[tuple[int, list[int]]]]:
+    """Validate, then lay out n k-sets over m items as sunflower clusters.
+
+    Shuffled edge ids are grouped into the clusters of :func:`_cluster_plan`
+    over a shuffled item pool; leftover items stay isolated.  Returns the
+    stream (after both shuffles) and ``(edge id, items)`` in build order.
+    """
+    if k < 2:
+        raise ValueError("need k >= 2")
+    if n < 1 or m < k or d < 0:
+        raise ValueError("need n >= 1, m >= k, d >= 0")
+    sizes, c = _cluster_plan(m, n, k, d)
+    stream = RandomStream(seed, domain)
+    pool = list(range(m))
+    stream.shuffle(pool)
+    order = list(range(n))
+    stream.shuffle(order)
+    built = []
+    pos = 0
+    it = iter(order)
+    for s in sizes:
+        core = pool[pos : pos + c]
+        pos += c
+        for _ in range(s):
+            built.append((next(it), core + pool[pos : pos + (k - c)]))
+            pos += k - c
+    return stream, built
+
+
 def gen_hypergraph(seed: Seed, m: int, n: int, k: int, d: int) -> Hypergraph:
     """Random k-uniform hypergraph in which each edge intersects <= d others.
 
@@ -327,59 +344,25 @@ def gen_hypergraph(seed: Seed, m: int, n: int, k: int, d: int) -> Hypergraph:
     clusters over a shuffled vertex pool (see :func:`_cluster_plan`).
     Vertices left over stay isolated.
     """
-    if k < 2:
-        raise ValueError("need k >= 2")
-    if n < 1 or m < k or d < 0:
-        raise ValueError("need n >= 1, m >= k, d >= 0")
-    sizes, c = _cluster_plan(m, n, k, d)
-    stream = RandomStream(seed, b"gen-hypergraph")
-    pool = list(range(m))
-    stream.shuffle(pool)
-    order = list(range(n))
-    stream.shuffle(order)
-    pos = 0
-    edge_sets: list[tuple[int, ...] | None] = [None] * n
-    it = iter(order)
-    for s in sizes:
-        core = pool[pos : pos + c]
-        pos += c
-        for _ in range(s):
-            private = pool[pos : pos + (k - c)]
-            pos += k - c
-            edge_sets[next(it)] = tuple(core + private)
-    return Hypergraph.from_edges(m, [e for e in edge_sets if e is not None])
+    _, built = _sunflowers(seed, b"gen-hypergraph", m, n, k, d)
+    edges: list = [None] * n
+    for e, vs in built:
+        edges[e] = vs
+    return Hypergraph.from_edges(m, edges)
 
 
 def gen_cnf(seed: Seed, m: int, n: int, k: int, d: int) -> CnfFormula:
     """Random k-CNF in which each clause intersects <= d others.
 
     Same cluster construction as :func:`gen_hypergraph` over the variables;
-    literal polarities are independent seeded coin flips.
+    literal polarities are independent seeded coin flips, drawn in build
+    order once both shuffles are done.
     """
-    if k < 2:
-        raise ValueError("need k >= 2")
-    if n < 1 or m < k or d < 0:
-        raise ValueError("need n >= 1, m >= k, d >= 0")
-    sizes, c = _cluster_plan(m, n, k, d)
-    stream = RandomStream(seed, b"gen-cnf")
-    pool = list(range(m))
-    stream.shuffle(pool)
-    order = list(range(n))
-    stream.shuffle(order)
-    pos = 0
-    clause_sets: list[tuple[tuple[int, bool], ...] | None] = [None] * n
-    it = iter(order)
-    for s in sizes:
-        core = pool[pos : pos + c]
-        pos += c
-        for _ in range(s):
-            private = pool[pos : pos + (k - c)]
-            pos += k - c
-            vs = core + private
-            clause_sets[next(it)] = tuple(
-                (v, stream.randrange(2) == 1) for v in vs
-            )
-    return CnfFormula.from_clauses(m, [cl for cl in clause_sets if cl is not None])
+    stream, built = _sunflowers(seed, b"gen-cnf", m, n, k, d)
+    clauses: list = [None] * n
+    for ci, vs in built:
+        clauses[ci] = [(v, stream.randrange(2) == 1) for v in vs]
+    return CnfFormula.from_clauses(m, clauses)
 
 
 # ---------------------------------------------------------------------------

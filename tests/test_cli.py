@@ -156,6 +156,28 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "--slope-range" in result.output
 
+    @pytest.mark.parametrize(
+        "args,flag",
+        [
+            (["tree-stats", "--thresholds", "a"], "--thresholds"),
+            (["accept", "--only", "x"], "--only"),
+            (["accept", "--only", "99"], "--only"),
+            (["gw-sim", "--mode", "binomial", "--q", "-0.5"], "--q"),
+            (["balls-bins", "--rule", "capacity", "--n", "5", "--m", "10"], "--n"),
+            (["balls-bins", "--rule", "capacity", "--n", "10", "--m", "3",
+              "--capacities", "{caps}"], "--capacities"),
+        ],
+    )
+    def test_bad_flag_value_is_usage_error(self, runner, tmp_path, args, flag):
+        caps = tmp_path / "caps.txt"
+        caps.write_text("5\n0\n5\n")
+        result = runner.invoke(
+            main, ["--seed", SEED_HEX] + [a.format(caps=caps) for a in args]
+        )
+        assert result.exit_code == 2, result.output
+        assert flag in result.output
+        assert "Traceback" not in result.output
+
     @pytest.mark.parametrize("command", ["matching", "coloring", "ksat", "balls-bins"])
     def test_negative_failure_budget_is_usage_error(self, runner, command):
         result = runner.invoke(main, ["--seed", SEED_HEX, command, "--failure-budget", "-0.5"])
@@ -191,6 +213,15 @@ class TestSubcommandBehavior:
         )
         report = json.loads(result.stdout)
         assert report["results"]["mismatches"] == 0
+
+    @pytest.mark.parametrize("rule", ["least-loaded", "always-go-left", "capacity", "circle"])
+    def test_oracle_compare_runs_each_rule_on_its_scheme(self, runner, rule):
+        result = run_ok(
+            runner,
+            ["--seed", SEED_HEX, "oracle-compare", "--target", "balls-bins", "--rule", rule,
+             "--n", "200", "--m", "100", "--d", "2", "--trials", "2"],
+        )
+        assert json.loads(result.stdout)["results"]["mismatches"] == 0
 
     def test_oracle_compare_balls_bins(self, runner):
         result = run_ok(
