@@ -396,13 +396,11 @@ def criterion_8() -> tuple[bool, dict]:
             violations += 1
 
         # hypergraph coloring and CNF
-        for label, gen, all_fn, query_fn, out_of in (
+        for label, gen, all_fn, query_fn in (
             (b"c8:h", gen_hypergraph, coloring.color_all,
-             lambda inst, x, rs: coloring.color_query(inst, x, rs).color,
-             lambda c: coloring.COLORS.index(c)),
+             lambda inst, x, rs: coloring.color_query(inst, x, rs).color),
             (b"c8:s", gen_cnf, coloring.sat_all,
-             lambda inst, x, rs: coloring.sat_query(inst, x, rs).value,
-             lambda v: int(v)),
+             lambda inst, x, rs: coloring.sat_query(inst, x, rs).value),
         ):
             inst = gen(derive_subseed(seed, label + b":inst:%d" % i), 400, 20, 40, 2)
             rseed = derive_subseed(seed, label + b":ranks:%d" % i)

@@ -456,7 +456,6 @@ def matching_cmd(ctx, n, d, cap, edge, trials, ordering, kwise_k, failure_budget
 def _coloring_command(kind: str, help_text: str, input_help: str) -> None:
     """Register the ``coloring`` or ``ksat`` command; they differ only in
     which :data:`coloring.PROBLEMS` entry they run."""
-    problem = coloring.PROBLEMS[kind]
 
     @main.command(kind, help=help_text)
     @click.option("--m", type=click.IntRange(1), default=800, show_default=True)
