@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -11,6 +12,7 @@ from lcakit.exploration import (
     TreeStatsSpec,
     _binomial_draw,
     explore,
+    explore_sizes,
     gw_sizes,
     ilog2ceil,
     lower_bound_experiment,
@@ -262,3 +264,49 @@ class TestPathClosureProbability:
         )
         se = math.sqrt(0.25 / trials)
         assert abs(hits / trials - 0.5) <= 3 * se
+
+
+# (spec, cap) -> (total size, extinct count, sha256 of the samples) over 200
+# trees: both offspring specs, the draw-free specs, and caps that are hit.
+GW_PINS = [
+    (Regular(3, 4), 1 << 20, 832, 200,
+     "3f904d02137de87704fdee6e9e12ef586cf1badbeb314140aea669fffe2a07bf"),
+    (Regular(2, 3), 1 << 20, 618, 200,
+     "cf4f562b2587d5bace0d720e4a30eec60741d1eb4f9a6c24b627c5fbc15e23a1"),
+    (Regular(0, 1), 1 << 20, 200, 200,
+     "8c54fb4174f7e8a0ac073cca829b9400eb4e5f417513a4bc761fc40c6d1ee0c4"),
+    (Regular(4, 5), 40, 1004, 198,
+     "f032d64247f8e44f1d9aee8a8571965529c53436040512e10748e29004878328"),
+    (Binomial(4, 0.2), 1 << 20, 1277, 200,
+     "1a38bf874e0208bceea7d113c164b425332b85ca96fcc086af0701bacc75bb59"),
+    (Binomial(10, 0.09), 1 << 20, 2864, 200,
+     "e264793ab89d54584bae15975d103a5374655c0cb469f4b383ce9568fe42c0d2"),
+    (Binomial(60, 0.016), 30, 1545, 172,
+     "efbaffe56e38cbb08562cf3c3d1bf5aa042dba9f319e1b5dc2e82af30892e97c"),
+    (Binomial(0, 0.5), 1 << 20, 200, 200,
+     "8c54fb4174f7e8a0ac073cca829b9400eb4e5f417513a4bc761fc40c6d1ee0c4"),
+    (Binomial(3, 0.0), 1 << 20, 200, 200,
+     "8c54fb4174f7e8a0ac073cca829b9400eb4e5f417513a4bc761fc40c6d1ee0c4"),
+]
+
+# generator -> (size sum, truncations, sha256 of the sizes) of explore_sizes.
+EXPLORE_PINS = {
+    "bounded": (405, 0, "17a234370cd2c1b805fdbf951d50308faf50f7cd88d146384e40937f22788f28"),
+    "binomial": (435, 0, "55d5e63a9d94a7dd5475f69d2b2f34f7c1378347390e5ac3269678fdbcb282d5"),
+}
+
+
+class TestStreamConsumerPins:
+    @pytest.mark.parametrize("spec, cap, total, extinct, digest", GW_PINS, ids=str)
+    def test_pinned_gw_samples(self, spec, cap, total, extinct, digest):
+        samples = gw_sizes(SEED, spec, 200, cap)
+        assert sum(s.size for s in samples) == total
+        assert sum(s.extinct for s in samples) == extinct
+        assert hashlib.sha256(repr(samples).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("generator", sorted(EXPLORE_PINS))
+    def test_pinned_explore_sizes(self, generator):
+        spec = TreeStatsSpec(generator, 200, 3, instances=3, queries_per_instance=30, cap=64)
+        sizes, truncated = explore_sizes(spec, SEED)
+        digest = hashlib.sha256(repr(sizes).encode()).hexdigest()
+        assert (sum(sizes), truncated, digest) == EXPLORE_PINS[generator]

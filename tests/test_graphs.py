@@ -438,3 +438,207 @@ class TestGeneratorPins:
     def test_pinned_validation_messages(self):
         assert _messages(Hypergraph.from_edges, HYPERGRAPH_BAD) == HYPERGRAPH_MESSAGES
         assert _messages(CnfFormula.from_clauses, CNF_BAD) == CNF_MESSAGES
+
+
+def _graph_digest(g):
+    return hashlib.sha256(repr((g.n, g.max_degree, g.adjacency)).encode()).hexdigest()
+
+
+def _choices_digest(bc):
+    fields = (
+        bc.n_balls, bc.m_bins, bc.d, bc.choices, bc.bin_incidence, bc.capacities,
+        bc.group_of, bc.positions, bc.capacities_positive, bc.choices_follow_groups,
+    )
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
+def _even_capacities(n_balls, m_bins):
+    return [n_balls // m_bins + (i < n_balls % m_bins) for i in range(m_bins)]
+
+
+BOUNDED_DEGREE_DIGESTS = {
+    (1, 1): "d6f702b7c451e78dc2836fc44993b9b30a30063e29baa1886a44c794512edd04",
+    (2, 1): "31ca40b7449d0e662cfe17674aef8eee2968fe2686ddc97428849ee29087c0bb",
+    (3, 2): "fef09dbce354f0c9239b26a4a9738320ee5ac88fc2e04642bc54ff3e9e543426",
+    (10, 3): "d93f16dae3b90a16c9ff28a6aaaf0919f65ce14fb4de3c86e4d0229e72de4823",
+    (64, 1): "17f783150500f5e26f6bfe7a33c5bdb90ede7cbffb0e4169185e4a32b9a4ed4a",
+    (100, 2): "0237b9939b7370cd46db0a5b4cdd5e361494669a156f372434ae69be3f85f0c8",
+    (300, 3): "5c00b2af9fa08612f5b4b0375abe010bcab76dfc203334decde8b00e1a1618a1",
+    (1000, 5): "06f4ad21881849fc3880c97085682d8aca98070dad685a850b591b2ae9ff3d2a",
+}
+
+BINOMIAL_DIGESTS = {
+    (2, 0.5): "31ca40b7449d0e662cfe17674aef8eee2968fe2686ddc97428849ee29087c0bb",
+    (3, 2.9): "fef09dbce354f0c9239b26a4a9738320ee5ac88fc2e04642bc54ff3e9e543426",
+    (30, 1.0): "63278d7ed797d01b11c19973a2aaa364fd7490f1538144ce17f1669472237844",
+    (100, 2.5): "c08478f1c3fecd29bdd83bc9fe8b877eae65e8f625ea2bd2d02f6c78632fe91b",
+    (1000, 5.0): "5693f29f7b30ab3b8c192c96b2937da437d92c27d011e1cc302579cd12f60448",
+}
+
+# (n_balls, m_bins, d): no balls; one bin; three choices among two bins
+# (every row repeats a bin); d = 1, 2, 3 at growing sizes.  The cases a
+# scheme cannot build are pinned in CHOICE_BAD instead.
+CHOICE_DIGESTS = {
+    "uniform": {
+        (0, 5, 2):
+            "37c18a02e6a17321d5e50cf86e89336480829cf97d6474ac804fe2529bf3acfa",
+        (1, 1, 1):
+            "8af8053789adfd3a3dd69b79a217b897f1874bea34580fd13c283ce30639e093",
+        (7, 2, 3):
+            "e1f74ede4f8956fd6acc8a97209d812cf2236dfb83967e5c1ced319b0d2ae40a",
+        (9, 3, 3):
+            "76ba256d2c7916d6808168cbcc1379fd711ff328b0b6a740d7163a6d99487536",
+        (40, 9, 1):
+            "199bdd138cd3674775f5064a0a12c5a9ab43b81b24832e1208aace9c3fff5222",
+        (50, 10, 2):
+            "77556426c381ba1abe3a64902e7f2525b5e6f343ebe590c46f5ead7af255e5ab",
+        (200, 30, 3):
+            "9a896f9c6475349c1b35b2c223f5bcbd01f72bb4cde905b02434bae01aa290e1",
+        (500, 500, 2):
+            "ea4a6ee2e55eae4cb6b2bd07c6b49534058b07d900e1e9a2e06663b07fac24f5",
+    },
+    "grouped": {
+        (0, 5, 2):
+            "18deb7cee8f9c4e01c877c11208c7c4001a132c5831f10464d9540670e1083cd",
+        (1, 1, 1):
+            "fcccf32039f86c134f8af0ccd685684a6fe474f35981d30dc1e64acff9cd283c",
+        (9, 3, 3):
+            "8ffadd140900f7210a69a8e9e28c708aa92c91faf5167fe8019938d309a9c4bd",
+        (40, 9, 1):
+            "0d4c6194d1745e1cfa04949fefccd1d45e64f4b0b0bf80ce88b650528f2d620e",
+        (50, 10, 2):
+            "a22b120176bf92a256bd106728ab1b50249998fb30ae758a0e3ab4785dfc35a6",
+        (200, 30, 3):
+            "f88ecc2bc2c4f86e4b4d58afb97a32ed1e0e41aad06ce17f9f441bba952eb722",
+        (500, 500, 2):
+            "9c26af1cb0cb416e18d4612690ee8a3495054c56a8c42603bbcb4ea467354558",
+    },
+    "capacity": {
+        (1, 1, 1):
+            "2a548a165b27459fdae3707030d2a3f3623fcb2a9b61df502223c7915f2b5c2a",
+        (7, 2, 3):
+            "b9cedfb014ade854ac6ee8b6f13b81fe9a2f7e2a41111c45961cdf4ba9528c26",
+        (9, 3, 3):
+            "0f51145e0335527bae26ad968b1de2b0d45cdb53da5bd5172eab9c9762646f9a",
+        (40, 9, 1):
+            "9b8dd4ad4834d354cec88fbee7da9f2d18730a08ea0deb33c04d552e4b9fdc9a",
+        (50, 10, 2):
+            "9f3f2e23fec40fc27679f8c793ba91f88f050d66d80ced9451f5ff866c172ef6",
+        (200, 30, 3):
+            "656a8d66a38bc991d5df694bf68a51d97d5a5328f4b4f882604b2f817e5490ca",
+        (500, 500, 2):
+            "f3afef3685db7e6df2e00f684da5d67b692c2566a31c4d372c33e9ed5760f0b2",
+    },
+    "circle": {
+        (0, 5, 2):
+            "6489e3ce3fed36a258d2b45e64b94635f5f203bd901eb43952962080e6c788d1",
+        (1, 1, 1):
+            "8acc3b93893a222c0e85d3c9ea380342dff089dc40e363c8490dfaab9e2e3c72",
+        (7, 2, 3):
+            "33235d232fd18dffd021d0e5d01d3ecdb25efbcc6469171fbb36755d27a8c57c",
+        (9, 3, 3):
+            "f26e27ade7b3310d34e155782e35252701bb0461d3efd209e5b0d026e3aaf881",
+        (40, 9, 1):
+            "ce8e1e0b21a1d5305d03dc57567d9aa3bc8a4633f6cc577bc22dc02278d4961d",
+        (50, 10, 2):
+            "575e022c38c18743c47cd883346322a3eef7368e13966e247610746cfd8afc2e",
+        (200, 30, 3):
+            "2831a1ac069fe7f05b903f4eccd5d1bae28d16efb090d4416a3de548995f15e0",
+        (500, 500, 2):
+            "4d87769b1f6eaab7400fc2981e4ae3b669e97fded2c5c6a7052325f9d45e6428",
+    },
+}
+
+CHOICE_BAD = [
+    ((0, 5, 2, "capacity"), "capacities must cover every bin and sum to > 0"),
+    ((7, 2, 3, "grouped"), "grouped sampling needs m_bins >= d (got 2 < 3)"),
+    ((3, 4, 0, "uniform"), "need d >= 1, m_bins >= 1, n_balls >= 0"),
+    ((3, 4, 2, "ring"), "unknown sampling scheme 'ring'"),
+]
+
+GRAPH_BAD = [
+    (-1, []),
+    (3, [(0, 1), (1, 3), (2, 2)]),
+    (3, [(0, 1), (-1, 2)]),
+    (3, [(0, 1), (2, 2), (1, 5)]),
+    (3, [(0, 1), (1, 2), (1, 0), (0, 0)]),
+    (3, [(0, 1), (2, 1), (1, 2)]),
+]
+
+GRAPH_MESSAGES = [
+    "vertex count must be non-negative",
+    "edge (1, 3) out of range for n=3",
+    "edge (-1, 2) out of range for n=3",
+    "self-loop at vertex 2",
+    "duplicate edge (1, 0)",
+    "duplicate edge (1, 2)",
+]
+
+BALLS_BAD = [
+    (-1, 2, 1, []),
+    (2, 2, 1, [(0,)]),
+    (3, 2, 2, [(0, 1), (1,), (5, 1)]),
+    (3, 2, 2, [(0, 1), (1, 2), (1, 0, 0)]),
+    (3, 2, 2, [(0, 1), (1, 1), (-1, 0)]),
+    (2, 2, 1, [(0,), (1,)], [1, 0, 1]),
+    (2, 2, 1, [(0,), (1,)], [3, -1]),
+    (2, 2, 1, [(0,), (1,)], [1, 2]),
+    (2, 2, 1, [(0,), (1,)], None, [0]),
+    (2, 2, 1, [(0,), (1,)], None, None, [0.5, 1.0]),
+]
+
+BALLS_MESSAGES = [
+    "need n_balls >= 0, m_bins >= 1, d >= 1",
+    "expected 2 choice rows, got 1",
+    "ball 1 has 1 choices, expected 2",
+    "ball 1 chose bin 2 out of range",
+    "ball 2 chose bin -1 out of range",
+    "capacities must list one value >= 0 per bin",
+    "capacities must list one value >= 0 per bin",
+    "capacities sum to 3, expected n_balls=2",
+    "group_of must list one group per bin",
+    "positions must list one point in [0, 1) per bin",
+]
+
+
+class TestStreamGeneratorPins:
+    """Pinned output of every generator that draws from a RandomStream."""
+
+    @pytest.mark.parametrize("params", sorted(BOUNDED_DEGREE_DIGESTS), ids=str)
+    def test_pinned_bounded_degree(self, params):
+        g = gen_bounded_degree(derive_subseed(SEED, b"pin:bounded:%d:%d" % params), *params)
+        assert _graph_digest(g) == BOUNDED_DEGREE_DIGESTS[params]
+
+    @pytest.mark.parametrize("params", sorted(BINOMIAL_DIGESTS), ids=str)
+    def test_pinned_binomial(self, params):
+        tag = b"pin:binomial:%d:%r" % (params[0], params[1])
+        g = gen_binomial(derive_subseed(SEED, tag), *params)
+        assert _graph_digest(g) == BINOMIAL_DIGESTS[params]
+
+    @pytest.mark.parametrize(
+        "scheme, params", [(s, p) for s in CHOICE_DIGESTS for p in CHOICE_DIGESTS[s]], ids=str
+    )
+    def test_pinned_choices(self, scheme, params):
+        n_balls, m_bins, d = params
+        caps = _even_capacities(n_balls, m_bins) if scheme == "capacity" else None
+        tag = b"pin:%s:%d:%d:%d" % ((scheme.encode(),) + params)
+        bc = gen_bipartite_choices(derive_subseed(SEED, tag), *params, scheme, capacities=caps)
+        assert _choices_digest(bc) == CHOICE_DIGESTS[scheme][params]
+
+    def test_repeated_choices_are_pinned(self):
+        bc = gen_bipartite_choices(SEED, 7, 2, 3)
+        assert all(len(set(row)) < 3 for row in bc.choices)
+        assert sum(map(len, bc.bin_incidence)) < 7 * 3
+
+    def test_pinned_choice_messages(self):
+        calls = []
+        for (n_balls, m_bins, d, scheme), _ in CHOICE_BAD:
+            caps = _even_capacities(n_balls, m_bins) if scheme == "capacity" else None
+            calls.append((SEED, n_balls, m_bins, d, scheme, caps))
+        assert _messages(gen_bipartite_choices, calls) == [m for _, m in CHOICE_BAD]
+
+    def test_pinned_graph_messages(self):
+        assert _messages(LocalGraph.from_edges, GRAPH_BAD) == GRAPH_MESSAGES
+
+    def test_pinned_choices_messages(self):
+        assert _messages(BipartiteChoices.from_choices, BALLS_BAD) == BALLS_MESSAGES

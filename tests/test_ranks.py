@@ -400,3 +400,167 @@ class TestKeyFunctions:
             expected = {e} | {h for f in members for h in adjacent(f)}
             assert set(walk_hashes) == {u * n + v for u, v in expected}
             assert verdict.edges_evaluated == len(members)
+
+
+def _reference_words(seed: Seed, label: bytes):
+    """The stream as documented: block i is the 64-byte keyed BLAKE2b of
+    ``label + i.to_bytes(8, "big")`` in the ``b"stream"`` domain, read as
+    eight big-endian words in order."""
+    for counter in itertools.count():
+        h = hashlib.blake2b(key=seed.master_key, digest_size=64)
+        h.update(seed.ensemble_index.to_bytes(8, "big"))
+        h.update(len(b"stream").to_bytes(2, "big"))
+        h.update(b"stream")
+        h.update(label + counter.to_bytes(8, "big"))
+        block = h.digest()
+        for i in range(0, 64, 8):
+            yield int.from_bytes(block[i : i + 8], "big")
+
+
+class _ReferenceStream:
+    """One draw per call, straight from the documented definition."""
+
+    def __init__(self, seed: Seed, label: bytes) -> None:
+        self.words = _reference_words(seed, label)
+
+    def u64(self) -> int:
+        return next(self.words)
+
+    def random(self) -> float:
+        return (self.u64() >> 11) / float(1 << 53)
+
+    def randrange(self, bound: int) -> int:
+        if bound == 1:
+            return 0
+        if bound <= 2**64:
+            limit = 2**64 - 2**64 % bound
+            while (r := self.u64()) >= limit:
+                pass
+            return r % bound
+        bits = bound.bit_length()
+        words = -(-bits // 64)
+        while True:
+            r = 0
+            for _ in range(words):
+                r = (r << 64) | self.u64()
+            r >>= words * 64 - bits
+            if r < bound:
+                return r
+
+    def shuffle(self, items: list) -> None:
+        for i in range(len(items) - 1, 0, -1):
+            j = self.randrange(i + 1)
+            items[i], items[j] = items[j], items[i]
+
+
+PIN_BOUNDS = {
+    1: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    2: [0, 0, 0, 1, 0, 0, 0, 0, 1, 0],
+    3: [1, 1, 2, 1, 2, 1, 2, 1, 0, 2],
+    7: [5, 6, 2, 3, 2, 4, 6, 4, 6, 0],
+    2**40: [
+        509291407680, 75353924068, 589313697999, 470032075006, 695385059241,
+        303343394397, 608898207122, 981246575758, 486884347986, 353069374356,
+    ],
+    2**63 + 1: [
+        2592412184781411037, 2709030896482135601, 7443407225263171023,
+        6121182305961453394, 289679785274257309, 1709719276109864651,
+        124063311203972723, 3264727759451034289, 2931375026750541272,
+        8544341859995430339,
+    ],
+    2**64: [
+        8328026783090924224, 9121604290511918863, 5831985285692517431,
+        4315072156684723169, 13112793417350272392, 4577079976626910249,
+        4196410015763530047, 16052204683094911568, 6776085951272491102,
+        9036099051792810688,
+    ],
+    2**64 + 3: [
+        8208388236638889083, 5084641663578857544, 222320042518837349,
+        16190557659063413676, 1871777276666607306, 8782044921097367399,
+        8305512826943159892, 816557149292356168, 8034984276864825414,
+        1947142226574827453,
+    ],
+}
+
+# Each op is (name, argument); every script crosses several 8-word blocks,
+# with single-word, multi-word and rejected draws mixed in between them.
+INTERLEAVED = [
+    ("u64", None), ("randrange", 7), ("random", None), ("shuffle", 11),
+    ("randrange", 2**64 + 3), ("randrange", 2**40), ("randrange", 1),
+    ("randrange", 2**63 + 1), ("shuffle", 3), ("random", None), ("u64", None),
+    ("randrange", 2**64), ("randrange", 2), ("shuffle", 0), ("shuffle", 1),
+    ("randrange", 3), ("randrange", 2**63 + 1), ("randrange", 2**63 + 1),
+    ("random", None), ("shuffle", 20), ("randrange", 2**64 + 3), ("u64", None),
+]
+
+
+def _run(stream, script) -> list:
+    out = []
+    for op, arg in script:
+        if op == "shuffle":
+            items = list(range(arg))
+            stream.shuffle(items)
+            out.append(items)
+        elif op == "randrange":
+            out.append(stream.randrange(arg))
+        else:
+            out.append(getattr(stream, op)())
+    return out
+
+
+class TestStreamPins:
+    """Frozen stream output: every draw is a fixed function of the words."""
+
+    @pytest.mark.parametrize("bound", sorted(PIN_BOUNDS))
+    def test_frozen_randrange(self, bound):
+        stream = RandomStream(SEED, b"pin:%d" % bound)
+        assert [stream.randrange(bound) for _ in range(10)] == PIN_BOUNDS[bound]
+
+    def test_frozen_random_and_shuffle(self):
+        stream = RandomStream(SEED, b"pin:random")
+        assert [stream.random() for _ in range(10)] == [
+            0.8026462093106685, 0.8206803367955028, 0.788952759297435,
+            0.04092426567938612, 0.4387591647800193, 0.5597620548498043,
+            0.3538202945877066, 0.6809931306615915, 0.6747553654885211,
+            0.7313221422915668,
+        ]
+        stream = RandomStream(SEED, b"pin:shuffle")
+        assert _run(stream, [("shuffle", n) for n in (0, 1, 2, 5, 13)]) == [
+            [], [0], [0, 1], [1, 3, 2, 4, 0],
+            [3, 5, 11, 0, 7, 8, 6, 4, 9, 12, 10, 2, 1],
+        ]
+
+    def test_frozen_interleaved(self):
+        out = _run(RandomStream(SEED, b"pin:interleaved"), INTERLEAVED)
+        assert out == _run(_ReferenceStream(SEED, b"pin:interleaved"), INTERLEAVED)
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+            "8e0c787cd826b7cd311de874405f0d88b59fed475839acb41ae05ff836288134"
+        )
+
+
+STREAM_OPS = st.one_of(
+    st.tuples(st.sampled_from(["u64", "random"]), st.none()),
+    st.tuples(
+        st.just("randrange"),
+        st.one_of(
+            st.sampled_from(sorted(PIN_BOUNDS)),
+            st.integers(1, 2**70),
+            st.integers(2**64 - 2**16, 2**64 + 2**16),
+        ),
+    ),
+    st.tuples(st.just("shuffle"), st.integers(0, 40)),
+)
+
+
+class TestStreamReference:
+    @settings(max_examples=150)
+    @given(
+        st.binary(min_size=32, max_size=32),
+        st.integers(0, 2**16),
+        st.binary(max_size=12),
+        st.lists(STREAM_OPS, max_size=40),
+    )
+    def test_stream_equals_per_draw_reference(self, key, ensemble, label, script):
+        seed = Seed(key, ensemble)
+        stream = RandomStream(seed, label)
+        assert _run(stream, script) == _run(_ReferenceStream(seed, label), script)
