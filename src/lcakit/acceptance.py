@@ -353,7 +353,7 @@ def criterion_7() -> tuple[bool, dict]:
 
 def _shuffled_queries(seed: Seed, label: bytes, population: int, count: int) -> tuple:
     stream = RandomStream(seed, label)
-    subset = sorted({stream.randrange(population) for _ in range(count)})
+    subset = sorted(set(stream._randranges([population] * count)))
     order1 = list(subset)
     order2 = list(subset)
     stream.shuffle(order1)

@@ -168,13 +168,9 @@ def _gw_worker(args) -> list[int]:
     return out
 
 
-def _load_instance(kind: str, input_path: str):
-    with open(input_path) as fh:
-        return coloring.PROBLEMS[kind].load(fh)
-
-
 def _coloring_worker(args) -> dict:
-    (kind, m, n, k, d, lenient, seed_hex, trial, input_path) = args
+    """One trial; ``inst`` is the ``--input`` instance, or None to generate."""
+    (kind, m, n, k, d, lenient, seed_hex, trial, inst) = args
     problem = coloring.PROBLEMS[kind]
     seed = Seed.from_hex(seed_hex)
     iseed = derive_subseed(seed, b"instance:%d" % trial)
@@ -182,9 +178,7 @@ def _coloring_worker(args) -> dict:
     params = coloring.ColoringParams(lenient=lenient)
     out = {"trial": trial, "failed": False, "valid": None, "phases": {}, "max_probes": 0}
     try:
-        if input_path is not None:
-            inst = _load_instance(kind, input_path)
-        else:
+        if inst is None:
             inst = problem.generate(iseed, m, n, k, d)
         state = problem.state(inst, rseed, params)
         values = []
@@ -471,9 +465,11 @@ def _coloring_command(kind: str, help_text: str, input_help: str) -> None:
     def command(ctx, m, n, k, d, input_path, trials, strict, failure_budget):
         t0 = time.time()
         lenient = not strict
+        inst = None
         if input_path is not None:
             try:
-                inst = _load_instance(kind, input_path)
+                with open(input_path) as fh:
+                    inst = coloring.PROBLEMS[kind].load(fh)
             except (OSError, ValueError) as exc:
                 raise click.UsageError(f"cannot load {input_path}: {exc}")
             m, n, k, d = inst.m, inst.n, inst.k, inst.dependency_degree
@@ -483,7 +479,7 @@ def _coloring_command(kind: str, help_text: str, input_help: str) -> None:
         except coloring.ThresholdError as exc:
             raise click.UsageError(str(exc))
         args = [
-            (kind, m, n, k, d, lenient, ctx.obj["seed_hex"], t, input_path)
+            (kind, m, n, k, d, lenient, ctx.obj["seed_hex"], t, inst)
             for t in range(trials)
         ]
         outs = _generate(_parallel_map, _coloring_worker, args, ctx.obj["jobs"])

@@ -337,9 +337,9 @@ def _instance_sizes(spec: TreeStatsSpec, seed: Seed, i: int) -> tuple[list[int],
     roots = RandomStream(derive_subseed(seed, b"roots:%d" % i), b"root")
     sizes: list[int] = []
     truncated = 0
-    for q in range(spec.queries_per_instance):
+    for q, root in enumerate(roots._randranges([g.n] * spec.queries_per_instance)):
         oseed = derive_subseed(seed, b"order:%d:%d" % (i, q))
-        rs = explore(g, roots.randrange(g.n), oseed, spec.kind, spec.cap)
+        rs = explore(g, root, oseed, spec.kind, spec.cap)
         sizes.append(rs.size)
         truncated += rs.truncated
     return sizes, truncated

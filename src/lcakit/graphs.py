@@ -17,9 +17,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, cycle, repeat
+from operator import add
 from typing import Iterable, Sequence
 
 from .ranks import RandomStream, Seed
+
+# Words a generator whose draw count is not known in advance decodes at once.
+_CHUNK = 512
 
 
 # ---------------------------------------------------------------------------
@@ -49,13 +54,13 @@ class LocalGraph:
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if v in adj[u]:
+            nbrs = adj[u]
+            if v in nbrs:
                 raise ValueError(f"duplicate edge ({u}, {v})")
-            adj[u].add(v)
+            nbrs.add(v)
             adj[v].add(u)
-        adjacency = tuple(tuple(sorted(s)) for s in adj)
-        max_degree = max((len(t) for t in adjacency), default=0)
-        return cls(n, adjacency, max_degree)
+        adjacency = tuple(map(tuple, map(sorted, adj)))
+        return cls(n, adjacency, max(map(len, adjacency), default=0))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """N(v) in ascending id order."""
@@ -115,19 +120,11 @@ def gen_bounded_degree(seed: Seed, n: int, d: int) -> LocalGraph:
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
     stream = RandomStream(seed, b"gen-bounded-degree")
-    stubs = [v for v in range(n) for _ in range(d)]
+    stubs = list(chain.from_iterable(map(repeat, range(n), repeat(d, n))))
     stream.shuffle(stubs)
-    seen: set[tuple[int, int]] = set()
-    edges = []
-    for i in range(0, len(stubs) - 1, 2):
-        u, v = stubs[i], stubs[i + 1]
-        if u == v:
-            continue
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            continue
-        seen.add(key)
-        edges.append(key)
+    pairs = iter(stubs)
+    # first occurrence of each pair, in stub order
+    edges = dict.fromkeys((u, v) if u < v else (v, u) for u, v in zip(pairs, pairs) if u != v)
     return LocalGraph.from_edges(n, edges)
 
 
@@ -143,17 +140,20 @@ def gen_binomial(seed: Seed, n: int, d: float) -> LocalGraph:
         raise ValueError("need 0 < d < n so that the pair probability is in (0, 1)")
     p = d / n
     stream = RandomStream(seed, b"gen-binomial")
-    log1mp = math.log1p(-p)
+    log1p = math.log1p
+    log1mp = log1p(-p)
     edges = []
     v, w = 1, -1
-    while v < n:
-        r = stream.random()
-        w += 1 + int(math.log1p(-r) / log1mp)
+    # One uniform per skip, decoded a chunk at a time.  The stream is local,
+    # so the words drawn past the last skip change nothing.
+    for r in chain.from_iterable(map(stream._randoms, repeat(_CHUNK))):
+        w += 1 + int(log1p(-r) / log1mp)
         while w >= v and v < n:
             w -= v
             v += 1
-        if v < n:
-            edges.append((w, v))
+        if v >= n:
+            break
+        edges.append((w, v))
     return LocalGraph.from_edges(n, edges)
 
 
@@ -359,9 +359,10 @@ def gen_cnf(seed: Seed, m: int, n: int, k: int, d: int) -> CnfFormula:
     order once both shuffles are done.
     """
     stream, built = _sunflowers(seed, b"gen-cnf", m, n, k, d)
+    coins = map(bool, stream._randranges([2] * (n * k)))
     clauses: list = [None] * n
     for ci, vs in built:
-        clauses[ci] = [(v, stream.randrange(2) == 1) for v in vs]
+        clauses[ci] = list(zip(vs, coins))
     return CnfFormula.from_clauses(m, clauses)
 
 
@@ -424,18 +425,25 @@ class BipartiteChoices:
             raise ValueError("need n_balls >= 0, m_bins >= 1, d >= 1")
         if len(choices) != n_balls:
             raise ValueError(f"expected {n_balls} choice rows, got {len(choices)}")
+        rows = list(map(tuple, choices))
+        flat = list(chain.from_iterable(rows))
+        if not (
+            set(map(len, rows)) <= {d}
+            and 0 <= min(flat, default=0)
+            and max(flat, default=0) < m_bins
+        ):
+            for ball, row in enumerate(rows):  # report the first bad ball
+                if len(row) != d:
+                    raise ValueError(f"ball {ball} has {len(row)} choices, expected {d}")
+                for u in row:
+                    if not 0 <= u < m_bins:
+                        raise ValueError(f"ball {ball} chose bin {u} out of range")
         incidence: list[list[int]] = [[] for _ in range(m_bins)]
-        rows = []
-        for ball, row in enumerate(choices):
-            row = tuple(row)
-            if len(row) != d:
-                raise ValueError(f"ball {ball} has {len(row)} choices, expected {d}")
+        for ball, row in enumerate(rows):
             for u in row:
-                if not 0 <= u < m_bins:
-                    raise ValueError(f"ball {ball} chose bin {u} out of range")
-            rows.append(row)
-            for u in set(row):
-                incidence[u].append(ball)
+                balls = incidence[u]
+                if not balls or balls[-1] != ball:  # once per distinct bin
+                    balls.append(ball)
         if capacities is not None:
             capacities = tuple(int(x) for x in capacities)
             if len(capacities) != m_bins or any(x < 0 for x in capacities):
@@ -457,7 +465,7 @@ class BipartiteChoices:
             m_bins,
             d,
             tuple(rows),
-            tuple(tuple(b) for b in incidence),
+            tuple(map(tuple, incidence)),
             capacities,
             group_of,
             positions,
@@ -472,6 +480,31 @@ class BipartiteChoices:
         if not 0 <= u < self.m_bins:
             raise ValueError(f"bin {u} out of range for m={self.m_bins}")
         return self.bin_incidence[u]
+
+
+def _rows(flat: list[int], d: int) -> list[tuple[int, ...]]:
+    """``flat`` cut into consecutive rows of ``d``."""
+    it = iter(flat)
+    return list(zip(*[it] * d))
+
+
+def _nearest_bins(positions: Sequence[float], xs: Iterable[float]) -> list[int]:
+    """For each point x, the bin whose position is nearest on the unit
+    circle; of two equally near, the lower bin id."""
+    ordered = sorted(zip(positions, range(len(positions))))
+    pts = [p for p, _ in ordered]
+    count = len(ordered)
+    out = []
+    for x in xs:
+        i = bisect_right(pts, x)
+        p, b = ordered[i - 1]
+        q, c = ordered[i % count]
+        near = abs(x - p)
+        near = near if near <= 1.0 - near else 1.0 - near
+        other = abs(x - q)
+        other = other if other <= 1.0 - other else 1.0 - other
+        out.append(c if other < near or (other == near and c < b) else b)
+    return out
 
 
 def gen_bipartite_choices(
@@ -495,29 +528,19 @@ def gen_bipartite_choices(
     if d < 1 or m_bins < 1 or n_balls < 0:
         raise ValueError("need d >= 1, m_bins >= 1, n_balls >= 0")
     stream = RandomStream(seed, b"gen-bipartite:" + scheme.encode())
+    k = n_balls * d
     if scheme == "uniform":
-        rows = [
-            tuple(stream.randrange(m_bins) for _ in range(d))
-            for _ in range(n_balls)
-        ]
-        return BipartiteChoices.from_choices(n_balls, m_bins, d, rows)
+        flat = stream._randranges([m_bins] * k)
+        return BipartiteChoices.from_choices(n_balls, m_bins, d, _rows(flat, d))
     if scheme == "grouped":
         if m_bins < d:
             raise ValueError(f"grouped sampling needs m_bins >= d (got {m_bins} < {d})")
         bounds = [(i * m_bins) // d for i in range(d + 1)]
-        group_of = tuple(
-            next(i for i in range(d) if bounds[i] <= b < bounds[i + 1])
-            for b in range(m_bins)
-        )
-        rows = []
-        for _ in range(n_balls):
-            row = tuple(
-                bounds[i] + stream.randrange(bounds[i + 1] - bounds[i])
-                for i in range(d)
-            )
-            rows.append(row)
+        sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+        group_of = tuple(chain.from_iterable(map(repeat, range(d), sizes)))
+        flat = list(map(add, stream._randranges(sizes * n_balls), cycle(bounds[:d])))
         return BipartiteChoices.from_choices(
-            n_balls, m_bins, d, rows, group_of=group_of
+            n_balls, m_bins, d, _rows(flat, d), group_of=group_of
         )
     if scheme == "capacity":
         if capacities is None:
@@ -526,43 +549,16 @@ def gen_bipartite_choices(
         total = sum(caps)
         if len(caps) != m_bins or total <= 0:
             raise ValueError("capacities must cover every bin and sum to > 0")
-        prefix = []
-        acc = 0
-        for x in caps:
-            acc += x
-            prefix.append(acc)
-        rows = []
-        for _ in range(n_balls):
-            row = tuple(
-                bisect_right(prefix, stream.randrange(total)) for _ in range(d)
-            )
-            rows.append(row)
+        prefix = list(accumulate(caps))
+        flat = [bisect_right(prefix, r) for r in stream._randranges([total] * k)]
         return BipartiteChoices.from_choices(
-            n_balls, m_bins, d, rows, capacities=caps
+            n_balls, m_bins, d, _rows(flat, d), capacities=caps
         )
     if scheme == "circle":
-        positions = tuple(stream.random() for _ in range(m_bins))
-        ordered = sorted((p, b) for b, p in enumerate(positions))
-        pts = [p for p, _ in ordered]
-
-        def nearest(x: float) -> int:
-            i = bisect_right(pts, x)
-            best = None
-            best_dist = 2.0
-            for j in (i - 1, i % len(pts)):
-                p, b = ordered[j % len(ordered)]
-                dist = abs(x - p)
-                dist = min(dist, 1.0 - dist)
-                if dist < best_dist or (dist == best_dist and b < best):
-                    best, best_dist = b, dist
-            return best
-
-        rows = [
-            tuple(nearest(stream.random()) for _ in range(d))
-            for _ in range(n_balls)
-        ]
+        positions = tuple(stream._randoms(m_bins))
+        flat = _nearest_bins(positions, stream._randoms(k))
         return BipartiteChoices.from_choices(
-            n_balls, m_bins, d, rows, positions=positions
+            n_balls, m_bins, d, _rows(flat, d), positions=positions
         )
     raise ValueError(f"unknown sampling scheme {scheme!r}")
 

@@ -14,12 +14,19 @@ strictly totally ordered.
 from __future__ import annotations
 
 import hashlib
+import struct
+from operator import mod
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import Sequence, Union
 
 _U64 = 1 << 64
 _MASK64 = _U64 - 1
+_TWO53 = float(1 << 53)
+_WORDS = struct.Struct(">8Q")
+_WORDS_LAST_FIRST = struct.Struct("<8Q")
+# Most draws RandomStream decodes at once; bounds the words held in memory.
+_BULK = 1024
 
 # Deterministic Miller-Rabin witnesses; exact for n < 3.3 * 10**24, which
 # covers every field size reachable at experiment scale.
@@ -157,40 +164,96 @@ def _digest(seed: Seed, domain: bytes, payload: bytes, size: int) -> bytes:
 
 
 class RandomStream:
-    """Deterministic byte stream keyed by (seed, label), in counter mode.
+    """Deterministic stream of 64-bit words keyed by (seed, label), in
+    counter mode.
+
+    Block ``i`` (from 0) is the 64-byte keyed BLAKE2b digest, in the
+    ``b"stream"`` domain, of ``label + i.to_bytes(8, "big")``.  The stream
+    is the blocks in order, each read as eight big-endian 64-bit words in
+    order.  Every draw is a fixed function of the next words, so a block can
+    be decoded once and its words handed out one at a time or in bulk.
 
     Used by instance generators and anything else that needs a sequence of
     uniform draws rather than per-item hashing.
     """
 
-    __slots__ = ("_seed", "_label", "_counter", "_buf", "_pos")
+    __slots__ = ("_seed", "_label", "_counter", "_words")
 
     def __init__(self, seed: Seed, label: bytes) -> None:
         self._seed = seed
         self._label = bytes(label)
         self._counter = 0
-        self._buf = b""
-        self._pos = 0
+        self._words: list[int] = []  # the current block's unread words, next last
 
-    def _refill(self) -> None:
-        payload = self._label + self._counter.to_bytes(8, "big")
-        self._buf = _digest(self._seed, b"stream", payload, 64)
-        self._pos = 0
-        self._counter += 1
+    def _blocks(self, count: int) -> list[bytes]:
+        """The next ``count`` 64-byte blocks."""
+        state = _prefix(self._seed.master_key, self._seed.ensemble_index, b"stream", 64)
+        first = self._counter
+        self._counter = first + count
+        out = []
+        for i in range(first, first + count):
+            h = state.copy()
+            h.update(self._label + i.to_bytes(8, "big"))
+            out.append(h.digest())
+        return out
+
+    def _refill(self) -> list[int]:
+        # A reversed block read little-endian is its words, last first.
+        self._words = words = list(_WORDS_LAST_FIRST.unpack(self._blocks(1)[0][::-1]))
+        return words
+
+    def _u64s(self, k: int) -> list[int]:
+        """The next ``k >= 1`` words, in order."""
+        out = self._words[::-1]
+        for block in self._blocks(max(0, -(-(k - len(out)) // 8))):
+            out += _WORDS.unpack(block)
+        self._words = out[: k - 1 : -1]
+        del out[k:]
+        return out
+
+    def _randranges(self, bounds: Sequence[int]) -> list[int]:
+        """``[self.randrange(b) for b in bounds]``, decoded in bulk.
+
+        When every bound is at least 2 and every word of a batch lies below
+        ``2**64 - max(bounds)``, each draw takes one word and passes its
+        rejection test, so the draws are the words modulo their bounds.
+        Otherwise that batch's words go back and its draws are made one at a
+        time.  At most ``_BULK`` words are held at once.
+        """
+        if not bounds or min(bounds) < 2:
+            return [self.randrange(b) for b in bounds]
+        sure = _U64 - max(bounds)
+        out: list[int] = []
+        for start in range(0, len(bounds), _BULK):
+            part = bounds[start : start + _BULK]
+            words = self._u64s(len(part))
+            if max(words) < sure:
+                out += map(mod, words, part)
+            else:
+                self._words += words[::-1]
+                out += map(self.randrange, part)
+        return out
+
+    def _randoms(self, k: int) -> list[float]:
+        """``[self.random() for _ in range(k)]``, decoded in bulk."""
+        out: list[float] = []
+        for start in range(0, k, _BULK):
+            out += [(r >> 11) / _TWO53 for r in self._u64s(min(_BULK, k - start))]
+        return out
 
     def u64(self) -> int:
-        if self._pos >= len(self._buf):
-            self._refill()
-        value = int.from_bytes(self._buf[self._pos : self._pos + 8], "big")
-        self._pos += 8
-        return value
+        return (self._words or self._refill()).pop()
 
     def random(self) -> float:
         """Float in [0, 1) with 53 bits of precision."""
-        return (self.u64() >> 11) / float(1 << 53)
+        return (self.u64() >> 11) / _TWO53
 
     def randrange(self, bound: int) -> int:
-        """Uniform integer in [0, bound). Rejection sampling, no modulo bias."""
+        """Uniform integer in [0, bound). Rejection sampling, no modulo bias:
+        a bound up to 2**64 takes one word per try and rejects words at or
+        above the largest multiple of the bound; a wider bound takes
+        ``ceil(bits / 64)`` words per try, keeps the top ``bound.bit_length()``
+        bits and rejects values >= bound."""
         if bound < 1:
             raise ValueError("bound must be >= 1")
         if bound == 1:
@@ -198,10 +261,9 @@ class RandomStream:
         if bound <= _U64:
             limit = _U64 - (_U64 % bound)
             while True:
-                r = self.u64()
+                r = (self._words or self._refill()).pop()
                 if r < limit:
                     return r % bound
-        # Wide bounds: draw bound.bit_length() bits and reject overflow.
         bits = bound.bit_length()
         words = (bits + 63) // 64
         shift = words * 64 - bits
@@ -214,10 +276,12 @@ class RandomStream:
                 return r
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            items[i], items[j] = items[j], items[i]
+        """In-place Fisher-Yates: for i from len - 1 down to 1, swap item i
+        with item ``randrange(i + 1)``."""
+        for top in range(len(items), 1, -_BULK):
+            bounds = range(top, max(top - _BULK, 1), -1)
+            for b, j in zip(bounds, self._randranges(bounds)):
+                items[b - 1], items[j] = items[j], items[b - 1]
 
 
 def derive_subseed(seed: Seed, label: bytes) -> Seed:
@@ -232,12 +296,20 @@ def derive_subseed(seed: Seed, label: bytes) -> Seed:
 
 
 def random_in_range(seed: Seed, label: bytes, bound: int) -> int:
-    """Uniform integer in [0, bound), a pure function of (seed, label)."""
+    """Uniform integer in [0, bound), a pure function of (seed, label):
+    ``RandomStream(seed, b"range:" + label).randrange(bound)``."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if bound == 1:
         return 0
-    return RandomStream(seed, b"range:" + bytes(label)).randrange(bound)
+    name = b"range:" + bytes(label)
+    if bound <= _U64:
+        # The stream's first word (block 0, bytes 0-7) almost always passes:
+        # read it without building the stream, which replays it on a rejection.
+        r = int.from_bytes(_digest(seed, b"stream", name + bytes(8), 64)[:8], "big")
+        if r < _U64 - _U64 % bound:
+            return r % bound
+    return RandomStream(seed, name).randrange(bound)
 
 
 def polynomial_rank(coeffs: tuple[int, ...], prime: int, x: int) -> int:

@@ -4,6 +4,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from lcakit import coloring
 from lcakit.cli import (
     EXIT_BUDGET,
     EXIT_GENERATION,
@@ -387,3 +388,30 @@ def _report_digest(runner, tmp_path, case, fmt):
 )
 def test_pinned_report(runner, tmp_path, case, fmt):
     assert _report_digest(runner, tmp_path, case, fmt) == REPORT_DIGESTS[(case, fmt)]
+
+
+@pytest.mark.parametrize("kind", ["coloring", "ksat"])
+def test_input_trials_do_not_depend_on_jobs(runner, tmp_path, kind):
+    path = _instance_files(tmp_path)["hypergraph" if kind == "coloring" else "cnf"]
+    reports = []
+    for jobs in ("1", "2"):
+        out = tmp_path / ("report" + jobs)
+        run_ok(runner, ["--seed", SEED_HEX, "--jobs", jobs, "--out", str(out),
+                        kind, "--input", path, "--trials", "3"])
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("kind", ["coloring", "ksat"])
+def test_input_instance_is_loaded_once(runner, tmp_path, kind, monkeypatch):
+    problem = coloring.PROBLEMS[kind]
+    loads = []
+
+    def counting_load(fh):
+        loads.append(fh.name)
+        return problem.load(fh)
+
+    monkeypatch.setitem(coloring.PROBLEMS, kind, problem._replace(load=counting_load))
+    path = _instance_files(tmp_path)["hypergraph" if kind == "coloring" else "cnf"]
+    run_ok(runner, ["--seed", SEED_HEX, kind, "--input", path, "--trials", "5"])
+    assert loads == [path]

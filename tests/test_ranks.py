@@ -503,6 +503,12 @@ def _run(stream, script) -> list:
             out.append(items)
         elif op == "randrange":
             out.append(stream.randrange(arg))
+        elif op == "bulk":  # [randrange(b) for b in bounds]; the reference draws one by one
+            bulk = getattr(stream, "_randranges", None)
+            out.append(bulk(arg) if bulk else [stream.randrange(b) for b in arg])
+        elif op == "bulk_random":
+            bulk = getattr(stream, "_randoms", None)
+            out.append(bulk(arg) if bulk else [stream.random() for _ in range(arg)])
         else:
             out.append(getattr(stream, op)())
     return out
@@ -552,6 +558,24 @@ STREAM_OPS = st.one_of(
 )
 
 
+BULK_BOUNDS = st.one_of(
+    st.integers(1, 10**4),
+    st.sampled_from([2**40, 2**63 + 1, 2**64 - 5, 2**64, 2**64 + 3]),
+)
+
+BULK_OPS = st.one_of(
+    STREAM_OPS,
+    st.builds(
+        lambda pattern, reps: ("bulk", pattern * reps),
+        st.lists(BULK_BOUNDS, min_size=1, max_size=3),
+        st.integers(0, 900),
+    ),
+    st.tuples(st.just("bulk"), st.just(range(3000, 1, -1))),
+    st.tuples(st.just("bulk_random"), st.integers(0, 2100)),
+    st.tuples(st.just("shuffle"), st.sampled_from([1024, 1025, 2049, 3000])),
+)
+
+
 class TestStreamReference:
     @settings(max_examples=150)
     @given(
@@ -564,3 +588,27 @@ class TestStreamReference:
         seed = Seed(key, ensemble)
         stream = RandomStream(seed, label)
         assert _run(stream, script) == _run(_ReferenceStream(seed, label), script)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.binary(min_size=32, max_size=32),
+        st.binary(max_size=12),
+        st.lists(BULK_OPS, max_size=8),
+    )
+    def test_bulk_draws_equal_per_draw_reference(self, key, label, script):
+        # bound 2**64 - 5 sends nearly every batch down the one-at-a-time
+        # path, 2**63 + 1 rejects about half of its words there
+        seed = Seed(key, 0)
+        stream = RandomStream(seed, label)
+        assert _run(stream, script) == _run(_ReferenceStream(seed, label), script)
+
+    @settings(max_examples=200)
+    @given(
+        st.binary(min_size=32, max_size=32),
+        st.binary(max_size=12),
+        st.one_of(st.sampled_from(sorted(PIN_BOUNDS)), st.integers(1, 2**70)),
+    )
+    def test_random_in_range_is_the_first_stream_draw(self, key, label, bound):
+        seed = Seed(key, 0)
+        expected = _ReferenceStream(seed, b"range:" + label).randrange(bound)
+        assert random_in_range(seed, label, bound) == expected
