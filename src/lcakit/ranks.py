@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from operator import mod
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mod
 from typing import Sequence, Union
 
 _U64 = 1 << 64
