@@ -1,13 +1,17 @@
 """Local queries against the greedy maximal matching.
 
 Edges arrive in a seeded random order; greedy adds an edge iff none of its
-neighbors was added before it.  A per-edge query explores the decreasing-rank
-closure over edge adjacency and replays greedy inside it, which reproduces
-the global verdict exactly.  Edge ranks derive from the packed edge id
-``min * n + max`` over a universe of n*n ids, so they are independent of the
-endpoint ranks and of how the edge was reached.  The walk runs over those
-packed ids, the same integers the ranks hash; edge tuples appear only at the
-public boundary.
+neighbors was added before it.  A per-edge query (:func:`is_matched`)
+explores the decreasing-rank closure over edge adjacency and replays greedy
+inside it, which reproduces the global verdict exactly and reports what the
+walk cost.  The batch (:func:`full_matching`) decides every edge once
+instead: an edge is matched iff none of its lower-ranked neighbors is, so it
+checks them in ascending rank, stops at the first matched one, and keeps
+every verdict in one memo shared by the whole batch.  Edge ranks derive from
+the packed edge id ``min * n + max`` over a universe of n*n ids, so they are
+independent of the endpoint ranks and of how the edge was reached.  Both
+paths run over those packed ids, the same integers the ranks hash; edge
+tuples appear only at the public boundary.
 """
 
 from __future__ import annotations
@@ -101,6 +105,8 @@ def all_verdicts(
     cap: int = 1 << 20,
 ) -> dict[Edge, MatchVerdict]:
     """Per-edge verdicts for every edge; any truncation aborts."""
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
     key_of = rank_key_fn(seed, kind, g.n * g.n)
     out = {}
     for e in g.edges():
@@ -121,10 +127,57 @@ def full_matching(
     kind: OrderingKind = FullPseudorandom(),
     cap: int = 1 << 20,
 ) -> frozenset[Edge]:
-    """Query every edge; the verdict-true set. Any truncation aborts."""
-    return frozenset(
-        e for e, v in all_verdicts(g, seed, kind, cap).items() if v.matched
-    )
+    """The greedy matching, with every edge decided once.
+
+    Edges are queried in ``g.edges()`` order against one verdict memo.  An
+    edge is matched iff none of its lower-ranked neighbors is matched; they
+    are checked in ascending rank, and the check stops at the first matched
+    one.  A neighbor the memo has not decided yet is decided first, on an
+    explicit stack, so depth never meets Python's recursion limit.
+
+    Cap rule: a query whose decision needs more than ``cap`` edges that the
+    memo has not decided yet, itself included, aborts the call with
+    :class:`TruncationError`, and nothing is kept.  Those edges all lie in
+    the query's closure, so wherever :func:`all_verdicts` answers, this
+    answers with the same set; it may also answer where that aborts.
+    """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    n = g.n
+    key_of = rank_key_fn(seed, kind, n * n)
+    adj = _packed_adjacency(g)
+    matched: dict[int, bool] = {}
+
+    def lower(x: int) -> list[int]:
+        """x's lower-ranked neighbors, highest rank first, so pop() is lowest."""
+        kx = key_of(x)
+        return sorted((y for y in adj(x) if key_of(y) < kx), key=key_of, reverse=True)
+
+    for e in g.edges():
+        root = e[0] * n + e[1]
+        if root in matched:
+            continue
+        stack = [(root, lower(root))]
+        fresh = 1  # undecided edges this query has needed, itself included
+        while stack:
+            x, lows = stack[-1]
+            while lows and matched.get(lows[-1]) is False:
+                lows.pop()
+            if lows and lows[-1] not in matched:
+                if fresh == cap:
+                    raise TruncationError(
+                        f"full matching aborted at edge {e}: deciding it needs "
+                        f"more than {cap} undecided edges",
+                        probes=2 * fresh,  # two neighbor lists per scanned edge
+                        size=fresh,
+                    )
+                fresh += 1
+                stack.append((lows[-1], lower(lows[-1])))
+                continue
+            # lows is empty (no lower neighbor matched) or ends at a matched one
+            matched[x] = not lows
+            stack.pop()
+    return frozenset(divmod(x, n) for x, m in matched.items() if m)
 
 
 def greedy_by_rank(

@@ -2,6 +2,8 @@ import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcakit.exploration import TruncationError
 from lcakit.graphs import LocalGraph, gen_bounded_degree, path_graph
@@ -143,6 +145,50 @@ class TestFullMatching:
         g = path_graph(40)
         with pytest.raises(TruncationError, match="aborted"):
             full_matching(g, SEED, cap=1)
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_rejected_without_edges(self, cap):
+        g = LocalGraph.from_edges(3, [])
+        for batch in (full_matching, all_verdicts):
+            with pytest.raises(ValueError, match="cap must be >= 1"):
+                batch(g, SEED, cap=cap)
+
+    def test_cap_counts_the_query_and_each_undecided_edge_it_needs(self):
+        # (0, 1) is queried first; deciding it needs (1, 2) too iff that edge
+        # ranks lower, and then (1, 2) is already decided when its turn comes
+        g = path_graph(3)
+        seen = set()
+        for i in range(16):
+            s = derive_subseed(SEED, b"path3:%d" % i)
+            key_of = _edge_key_fn(g, s, FullPseudorandom())
+            needed = 2 if key_of((1, 2)) < key_of((0, 1)) else 1
+            seen.add(needed)
+            assert full_matching(g, s, cap=needed) == greedy_by_rank(g, s)
+            if needed == 2:
+                with pytest.raises(TruncationError, match=r"aborted at edge \(0, 1\)"):
+                    full_matching(g, s, cap=1)
+        assert seen == {1, 2}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 40), st.integers(1, 5), st.integers(1, 50))
+    def test_cap_safety(self, tag, n, d, cap):
+        g = gen_bounded_degree(derive_subseed(SEED, b"cs:%d" % tag), n, d)
+        s = derive_subseed(SEED, b"csr:%d" % tag)
+        # a prime just above the n*n packed ids makes rank values tie, so the
+        # owner tie-break decides some orders
+        for kind in (FullPseudorandom(), KWiseIndependent(8, next_prime(n * n + 1))):
+            try:
+                verdicts = all_verdicts(g, s, kind, cap)
+            except TruncationError:
+                verdicts = None
+            try:
+                batch = full_matching(g, s, kind, cap)
+            except TruncationError:
+                assert verdicts is None, "the batch aborted where every closure fits the cap"
+                continue
+            if verdicts is not None:
+                assert batch == {e for e, v in verdicts.items() if v.matched}
+            assert batch == greedy_by_rank(g, s, kind)
 
 
 class TestVerifyMaximal:
