@@ -11,6 +11,11 @@ those bins is itself in the set.
 If the relevant set exceeds its cap the query is a counted failure and the
 ball falls back to a seed-derived uniform choice among its own d bins, so
 even failures are deterministic and query-order oblivious.
+
+The batch, :func:`assign_all`, walks no closures.  One pass in rank order
+places every ball and tells each ball's closure size from a memo of one
+closure per bin, which gives the cold walk's ``failed`` flag and probes;
+balls over the cap are answered by :func:`assign_query`.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ def default_cap(m_bins: int, constant: int = DEFAULT_CAP_CONSTANT) -> int:
     return max(1, constant) * ilog2ceil(max(2, m_bins))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assignment:
     ball: int
     bin: int
@@ -245,13 +250,54 @@ def assign_all(
     kind: OrderingKind = FullPseudorandom(),
     cap: int | None = None,
 ) -> tuple[list[Assignment], LoadProfile]:
-    """Query every ball; aggregate the load profile from the returned bins."""
+    """Every ball's :func:`assign_query` answer, from one pass in rank order.
+
+    * Bins: the pass places balls into global loads as :func:`run_global`
+      does, so a ball whose closure fits ``cap`` gets the bin its cold
+      replay computes.
+    * Closures: a ball's closure is itself plus the closures of its
+      lower-ranked co-choosers.  Every earlier chooser of a bin lies in the
+      closure of the latest one, so a memo of one closure per bin (its
+      latest chooser's) gives each closure by d unions.
+    * ``failed`` and ``probes``: ``_closure`` truncates exactly when the
+      closure has more than ``cap`` members.  Its complete walk makes one
+      ``choices_of`` and d ``choosers_of`` lookups per member, so a closure
+      within the cap costs the cold walk (1 + d) * size probes.
+    * Over cap: such closures are not kept, and a ball that chose a bin
+      whose memo is over cap is over cap too.  Each over-cap ball is
+      answered by :func:`assign_query` itself, so its fallback bin and
+      truncated-walk probes are the cold query's.
+    """
     rule.validate(bc)
     if cap is None:
         cap = default_cap(bc.m_bins)
     key_of = rank_key_fn(seed, kind, max(bc.n_balls, 1))
-    assignments = [
-        assign_query(bc, ball, rule, seed, kind, cap, _key_of=key_of, _validate=False)
-        for ball in range(bc.n_balls)
-    ]
+    per_member = 1 + bc.d  # probes per closure member
+    loads = [0] * bc.m_bins
+    load_of = loads.__getitem__
+    # latest[u]: closure of the latest-ranked ball so far that chose bin u,
+    # or None once that closure is over cap
+    latest: list[tuple[int, ...] | None] = [()] * bc.m_bins
+    out: list[Assignment | None] = [None] * bc.n_balls
+    for b in sorted(range(bc.n_balls), key=key_of):
+        u = rule.choose(bc, b, load_of)
+        loads[u] += 1
+        choices = bc.choices_of(b)
+        closure = None
+        members = {b}
+        for v in choices:
+            part = latest[v]
+            if part is None:  # an over-cap co-chooser puts b over cap
+                break
+            members.update(part)
+        else:
+            if len(members) <= cap:
+                closure = tuple(members)
+        if closure is None:
+            out[b] = assign_query(bc, b, rule, seed, kind, cap, _key_of=key_of, _validate=False)
+        else:
+            out[b] = Assignment(b, u, failed=False, probes=per_member * len(closure))
+        for v in choices:
+            latest[v] = closure
+    assignments = [a for a in out if a is not None]
     return assignments, LoadProfile.from_assignments(bc.m_bins, assignments)

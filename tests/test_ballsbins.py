@@ -1,17 +1,28 @@
 import hashlib
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcakit.ballsbins import (
     RULES,
     Assignment,
+    LoadProfile,
     assign_all,
     assign_query,
     default_cap,
     run_global,
 )
 from lcakit.graphs import BipartiteChoices, gen_bipartite_choices
-from lcakit.ranks import FullPseudorandom, Seed, derive_subseed, rank_key_fn
+from lcakit.ranks import (
+    FullPseudorandom,
+    KWiseIndependent,
+    Seed,
+    derive_subseed,
+    next_prime,
+    rank_key_fn,
+)
 
 SEED = Seed.from_hex("5eed" * 16)
 LL = RULES["least-loaded"]
@@ -198,6 +209,35 @@ class TestAssignAll:
                 if not b.failed:
                     assert a.bin == b.bin
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from(sorted(RULES)),
+        st.integers(1, 30),
+        st.integers(3, 60),
+        st.integers(1, 3),
+        st.none() | st.integers(0, 20),
+    )
+    def test_equals_per_ball_queries(self, tag, name, half_n, m, d, cap):
+        rule = RULES[name]
+        n = 2 * half_n
+        caps = None
+        if rule.scheme == "capacity":
+            # capacities must sum to n: pairs of 1 and 3, and a 2 if m is odd
+            m = half_n
+            caps = [1, 3] * (m // 2) + [2] * (m % 2)
+        bc = gen_bipartite_choices(
+            derive_subseed(SEED, b"eq:%d" % tag), n, m, d, rule.scheme, capacities=caps
+        )
+        s = derive_subseed(SEED, b"eqr:%d" % tag)
+        # a prime just above n makes k-wise rank values tie, so the owner
+        # tie-break decides some orders
+        for kind in (FullPseudorandom(), KWiseIndependent(4, next_prime(n + 1))):
+            batch, profile = assign_all(bc, rule, s, kind, cap)
+            cold = [assign_query(bc, b, rule, s, kind, cap) for b in range(n)]
+            assert batch == cold
+            assert profile == LoadProfile.from_assignments(m, cold)
+
     def test_query_order_oblivious(self):
         bc = gen_bipartite_choices(SEED, 100, 50, 2, "uniform")
         forward = [assign_query(bc, b, LL, SEED) for b in range(100)]
@@ -246,6 +286,12 @@ class TestDefaultCap:
         a = Assignment(1, 2, False, 3)
         with pytest.raises(AttributeError):
             a.bin = 5
+
+    def test_assignment_is_slotted_and_pickles(self):
+        # the CLI's --jobs workers send assignments between processes
+        a = Assignment(1, 2, True, 3)
+        assert not hasattr(a, "__dict__")
+        assert pickle.loads(pickle.dumps(a)) == a
 
 
 class TestLocality:
