@@ -254,27 +254,69 @@ class TestLocality:
         assert max(means) / min(means) < 2
 
 
-# sha256 of every verdict and cost field, recorded before the walk ran over
-# packed edge ids; any change to an answer, a probe count, an evaluated-set
-# size, a truncation point or a truncation message moves it.
-PINNED_VERDICTS = "950487e30540daf97df3247427faf7afcbcc93a4bd93dee2f0fcaf86bcf187ed"
+PIN_GRAPHS = ((60, 3), (200, 4), (300, 5))
+
+# sha256 digests of all_verdicts and capped is_matched, split so that a change
+# meant to lower costs re-records only the cost digest.  The answer digest
+# covers each verdict and where a capped query is cut; the cost digest covers
+# probes, evaluated-set sizes, and each cut's size, probes and message.  The
+# two replaced one digest of both (950487e3...), with the same inputs.
+PINNED_VERDICT_ANSWERS = "854ad12b68b9f740b31e564441398b26c3806d32317a60639354267137866b1b"
+PINNED_VERDICT_COSTS = "498e3ffd13ec327a0875439e8e70724350c22ecb290a15881f3e11559e34c532"
 
 
 def test_pinned_verdicts():
-    h = hashlib.sha256()
-    for i, (n, d) in enumerate(((60, 3), (200, 4), (300, 5))):
+    answers, costs = hashlib.sha256(), hashlib.sha256()
+    for i, (n, d) in enumerate(PIN_GRAPHS):
         g = gen_bounded_degree(derive_subseed(SEED, b"pin:%d" % i), n, d)
         s = derive_subseed(SEED, b"pin-ranks:%d" % i)
         for kind in (FullPseudorandom(), KWiseIndependent(8, next_prime(n**3))):
             for e, v in all_verdicts(g, s, kind).items():
-                h.update(b"%r %d %d %d\n" % (e, v.matched, v.probes, v.edges_evaluated))
+                answers.update(b"%r %d\n" % (e, v.matched))
+                costs.update(b"%r %d %d\n" % (e, v.probes, v.edges_evaluated))
             for cap in (1, 2, 3, 5):
                 for e in g.edges():
                     try:
                         v = is_matched(g, e, s, kind, cap)
                     except TruncationError as exc:
-                        row = (cap, e, "cut", exc.size, exc.probes, str(exc))
+                        answer = (cap, e, "cut")
+                        cost = (cap, e, "cut", exc.size, exc.probes, str(exc))
                     else:
-                        row = (cap, e, v.matched, v.probes, v.edges_evaluated)
-                    h.update(b"%r\n" % (row,))
-    assert h.hexdigest() == PINNED_VERDICTS
+                        answer = (cap, e, v.matched)
+                        cost = (cap, e, v.probes, v.edges_evaluated)
+                    answers.update(b"%r\n" % (answer,))
+                    costs.update(b"%r\n" % (cost,))
+    assert answers.hexdigest() == PINNED_VERDICT_ANSWERS
+    assert costs.hexdigest() == PINNED_VERDICT_COSTS
+
+
+# sha256 of full_matching on the pin graphs above plus one n=1000, d=5 graph,
+# under full and tied k-wise orderings, for a range of caps: the sorted
+# matched edges, or where and how the batch aborts.
+PINNED_FULL_MATCHING = "19157c7b14619995af20c6e4cb1575b9df3cf75859cf7cf8f4d3e4debefdb18e"
+
+
+def test_pinned_full_matching():
+    h = hashlib.sha256()
+    graphs = [
+        (gen_bounded_degree(derive_subseed(SEED, b"pin:%d" % i), n, d),
+         derive_subseed(SEED, b"pin-ranks:%d" % i))
+        for i, (n, d) in enumerate(PIN_GRAPHS)
+    ]
+    graphs.append((gen_bounded_degree(derive_subseed(SEED, b"pin-batch"), 1000, 5),
+                   derive_subseed(SEED, b"pin-batch-ranks")))
+    for g, s in graphs:
+        # a prime just above the n*n packed ids makes rank values tie
+        for kind in (FullPseudorandom(), KWiseIndependent(8, next_prime(g.n * g.n + 1))):
+            for cap in (1, 2, 3, 5, 8, 13, None):
+                try:
+                    if cap is None:
+                        got = full_matching(g, s, kind)
+                    else:
+                        got = full_matching(g, s, kind, cap)
+                except TruncationError as exc:
+                    row = (cap, "cut", exc.size, exc.probes, str(exc))
+                else:
+                    row = (cap, sorted(got))
+                h.update(b"%r\n" % (row,))
+    assert h.hexdigest() == PINNED_FULL_MATCHING

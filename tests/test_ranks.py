@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lcakit import ranks
 from lcakit.graphs import gen_bounded_degree
-from lcakit.matching import is_matched
+from lcakit.matching import full_matching, is_matched
 from lcakit.ranks import (
     FullPseudorandom,
     KWiseIndependent,
@@ -400,6 +400,22 @@ class TestKeyFunctions:
             expected = {e} | {h for f in members for h in adjacent(f)}
             assert set(walk_hashes) == {u * n + v for u, v in expected}
             assert verdict.edges_evaluated == len(members)
+
+    def test_full_matching_hashes_each_edge_once(self, monkeypatch):
+        # the batch ranks every edge of the graph through ranks._rank_value,
+        # each exactly once, and hashes nothing else
+        g = gen_bounded_degree(SEED, 300, 5)
+        seed = derive_subseed(SEED, b"batch-hash-count")
+        n, real = g.n, ranks._rank_value
+        hashed: list[int] = []
+
+        def counting(state, item, universe):
+            hashed.append(item)
+            return real(state, item, universe)
+
+        monkeypatch.setattr(ranks, "_rank_value", counting)
+        full_matching(g, seed)
+        assert sorted(hashed) == sorted(u * n + v for u, v in g.edges())
 
 
 def _reference_words(seed: Seed, label: bytes):
