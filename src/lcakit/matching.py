@@ -7,11 +7,13 @@ inside it, which reproduces the global verdict exactly and reports what the
 walk cost.  The batch (:func:`full_matching`) decides every edge once
 instead: an edge is matched iff none of its lower-ranked neighbors is, so it
 checks them in ascending rank, stops at the first matched one, and keeps
-every verdict in one memo shared by the whole batch.  Edge ranks derive from
-the packed edge id ``min * n + max`` over a universe of n*n ids, so they are
-independent of the endpoint ranks and of how the edge was reached.  Both
-paths run over those packed ids, the same integers the ranks hash; edge
-tuples appear only at the public boundary.
+every verdict in one memo shared by the whole batch.  It ranks every edge
+once, up front, and finds an edge's lower-ranked neighbors by comparing rank
+keys in per-vertex lists.  Edge ranks derive from the packed edge id
+``min * n + max`` over a universe of n*n ids, so they are independent of the
+endpoint ranks and of how the edge was reached.  Both paths run over those
+packed ids, the same integers the ranks hash; edge tuples appear only at the
+public boundary.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .ranks import FullPseudorandom, OrderingKind, Seed, rank_key_fn
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchVerdict:
     matched: bool
     probes: int
@@ -129,6 +131,9 @@ def full_matching(
 ) -> frozenset[Edge]:
     """The greedy matching, with every edge decided once.
 
+    Every edge is ranked once, up front, and each vertex keeps the rank keys
+    of its edges, so an edge's lower-ranked neighbors are the keys below its
+    own at its two endpoints, compared as tuples with no further key calls.
     Edges are queried in ``g.edges()`` order against one verdict memo.  An
     edge is matched iff none of its lower-ranked neighbors is matched; they
     are checked in ascending rank, and the check stops at the first matched
@@ -145,29 +150,35 @@ def full_matching(
         raise ValueError("cap must be >= 1")
     n = g.n
     key_of = rank_key_fn(seed, kind, n * n)
-    adj = _packed_adjacency(g)
-    matched: dict[int, bool] = {}
+    at: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # keys of u's edges
+    roots = []  # every edge's key, in g.edges() order
+    for u, v in g.edges():
+        k = key_of(u * n + v)
+        at[u].append(k)
+        at[v].append(k)
+        roots.append(k)
+    matched: dict[int, bool] = {}  # packed id -> verdict
 
-    def lower(x: int) -> list[int]:
-        """x's lower-ranked neighbors, highest rank first, so pop() is lowest."""
-        kx = key_of(x)
-        return sorted((y for y in adj(x) if key_of(y) < kx), key=key_of, reverse=True)
+    def lower(k: tuple[int, int]) -> list[tuple[int, int]]:
+        """Keys of k's lower-ranked neighbors, highest first, so pop() is lowest;
+        k itself is not below k, so it needs no test."""
+        u, v = divmod(k[1], n)
+        return sorted([j for j in at[u] if j < k] + [j for j in at[v] if j < k], reverse=True)
 
-    for e in g.edges():
-        root = e[0] * n + e[1]
-        if root in matched:
+    for root in roots:
+        if root[1] in matched:
             continue
         stack = [(root, lower(root))]
         fresh = 1  # undecided edges this query has needed, itself included
         while stack:
-            x, lows = stack[-1]
-            while lows and matched.get(lows[-1]) is False:
+            k, lows = stack[-1]
+            while lows and matched.get(lows[-1][1]) is False:
                 lows.pop()
-            if lows and lows[-1] not in matched:
+            if lows and lows[-1][1] not in matched:
                 if fresh == cap:
                     raise TruncationError(
-                        f"full matching aborted at edge {e}: deciding it needs "
-                        f"more than {cap} undecided edges",
+                        f"full matching aborted at edge {divmod(root[1], n)}: "
+                        f"deciding it needs more than {cap} undecided edges",
                         probes=2 * fresh,  # two neighbor lists per scanned edge
                         size=fresh,
                     )
@@ -175,7 +186,7 @@ def full_matching(
                 stack.append((lows[-1], lower(lows[-1])))
                 continue
             # lows is empty (no lower neighbor matched) or ends at a matched one
-            matched[x] = not lows
+            matched[k[1]] = not lows
             stack.pop()
     return frozenset(divmod(x, n) for x, m in matched.items() if m)
 

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from lcakit.exploration import TruncationError
 from lcakit.graphs import LocalGraph, gen_bounded_degree, path_graph
 from lcakit.matching import (
+    MatchVerdict,
     _edge_key_fn,
     all_verdicts,
     canonical_edge,
@@ -91,6 +93,15 @@ class TestIsMatched:
         g = gen_bounded_degree(SEED, 20, 3)
         u, v = next(iter(g.edges()))
         assert is_matched(g, (u, v), SEED) == is_matched(g, (v, u), SEED)
+
+    def test_verdict_is_slotted_frozen_and_pickles(self):
+        g = path_graph(5)
+        v = is_matched(g, g.edges()[1], SEED)
+        assert isinstance(v, MatchVerdict)
+        assert not hasattr(v, "__dict__")
+        with pytest.raises(AttributeError):
+            v.matched = not v.matched
+        assert pickle.loads(pickle.dumps(v)) == v
 
 
 class TestOracleEquivalence:
