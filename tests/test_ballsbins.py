@@ -317,8 +317,7 @@ class TestLocality:
 # {default, 1, 2, 3, 5}; small caps truncate most queries, so the cost digest
 # pins the probe counts of truncated walks as well.  The answer digest covers
 # every (ball, bin, failed), the cost digest every (ball, probes), so that a
-# change meant to lower costs re-records only the latter.  The pair replaced
-# one digest of (ball, bin, failed, probes) per rule, with the same inputs.
+# change meant to lower costs re-records only the latter.
 PINNED = {  # rule: (scheme, answer digest, cost digest)
     "least-loaded": (
         "uniform",

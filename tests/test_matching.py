@@ -270,8 +270,7 @@ PIN_GRAPHS = ((60, 3), (200, 4), (300, 5))
 # sha256 digests of all_verdicts and capped is_matched, split so that a change
 # meant to lower costs re-records only the cost digest.  The answer digest
 # covers each verdict and where a capped query is cut; the cost digest covers
-# probes, evaluated-set sizes, and each cut's size, probes and message.  The
-# two replaced one digest of both (950487e3...), with the same inputs.
+# probes, evaluated-set sizes, and each cut's size, probes and message.
 PINNED_VERDICT_ANSWERS = "854ad12b68b9f740b31e564441398b26c3806d32317a60639354267137866b1b"
 PINNED_VERDICT_COSTS = "498e3ffd13ec327a0875439e8e70724350c22ecb290a15881f3e11559e34c532"
 
