@@ -287,9 +287,13 @@ class TestSubcommandBehavior:
         assert "PASS criterion 9" in result.stdout
 
 
-# sha256 of small JSON and CSV reports, so a refactor that moves any report
-# byte fails here.  Runs with --input blank spec.input before hashing,
-# because the instance path varies between runs.
+# sha256 of small JSON and CSV reports, split in two so that a change meant
+# to lower costs re-records only the cost digest.  The answer digest hashes
+# the report as the CLI writes it, less its cost fields (JSON keys anywhere in
+# the report) and cost columns (CSV); for a report with none, it is the
+# sha256 of the report's bytes.  The cost digest hashes those fields, each
+# with its JSON path, or those columns.  Runs with --input blank spec.input
+# before hashing, because the instance path varies between runs.
 REPORT_CASES = {
     "coloring": (["coloring", "--m", "200", "--n", "10", "--k", "40", "--d", "2",
                   "--trials", "2"], 0),
@@ -320,36 +324,126 @@ REPORT_CASES = {
     "accept-9": (["accept", "--only", "9"], 0),
 }
 
+# Probe counts and evaluated-set sizes: what a report measures a query cost.
+COST_FIELDS = {"max_probes", "probes", "probes_mean", "probes_max", "edges_evaluated"}
+
 REPORT_DIGESTS = {
-    ("coloring", "json"): "6b4decef717aeb9a2d8dcf18ffbdf387eaee9c5cf03636d124578b4259b46ccf",
-    ("coloring", "csv"): "2d401641fb75fcc3877398dd50fb5c045b3bffb568a15a153798b2a265618b1f",
-    ("ksat", "json"): "0cf12ead2f41b4cff7f597fff0c06c35971124cb9a242f07f315476941349be5",
-    ("ksat", "csv"): "a6470c3ae80cc64ce845703860d242c33742007e3b18592572da42c9ebec909a",
-    ("coloring-input", "json"): "a364c9c70e322bf87831d0c5d09f9dece2a7d334cbbe1ab0e75254aae31d75d2",
-    ("coloring-input", "csv"): "2d401641fb75fcc3877398dd50fb5c045b3bffb568a15a153798b2a265618b1f",
-    ("ksat-input", "json"): "53ed19f61304bee123e1e7da055a3367e71d175f7259079561044d771eddc19f",
-    ("ksat-input", "csv"): "a6470c3ae80cc64ce845703860d242c33742007e3b18592572da42c9ebec909a",
-    ("coloring-lenient", "json"): "ad0bb5d723af6ec123ffa0ead491d30ddf7b107c9121b3506d91ca349f83596e",
-    ("coloring-lenient", "csv"): "1e06da7217da96e56796f2f196f9565f9f63857a6cafafaec665ec012621f684",
-    ("ksat-lenient", "json"): "60f3a359ba07cf073f5ead808db8f49d05810e7b515f80d2624270fb60ba833e",
-    ("ksat-lenient", "csv"): "92a5458efc692abda2afb25d189fbbe79b862f2fa159007e5e163c50d27a0932",
-    ("balls-bins-least-loaded", "json"): "a17d1f949eaa8c31a1e1b622f5fce9bf32e984a04cda230a8b6a3ba5c8ac4785",
-    ("balls-bins-least-loaded", "csv"): "1e7223919705810e53a17fb2befdca2e94f110f2cc5e29caf34c6a2402d28c4b",
-    ("balls-bins-always-go-left", "json"): "e3a7777e9c22cdfa8a112e758cd7787a6cd3bab127c787bb75e8ea81377a9e7c",
-    ("balls-bins-always-go-left", "csv"): "6c3cbb585e4ad24889c1be05d104e11e1f6ad8e8bab823c45dd881a058b6a38e",
-    ("balls-bins-capacity", "json"): "95b6107b65fdec343de98d50d74315a4b33b1a0d4e8130fcbbd6297fef455cb3",
-    ("balls-bins-capacity", "csv"): "e4be50d72e4acdfb3c15eb135fa2e6db93c6bda66dc0f120534c2ada1a683a52",
-    ("balls-bins-capacity-file", "json"): "ccbdb5e6adea45589796ad8a3d844bd79c65a4389b4dfe97bfa07b2040010fa8",
-    ("balls-bins-capacity-file", "csv"): "a6676b6a2f0bab36f3471cf23ea1f095c31abc3a9242fb84ca80e24cd5e4d897",
-    ("balls-bins-circle", "json"): "d277ce3c0d8972de4fd5709a3a7231a2ac69edbca0edee4100509bf0fd31b1d7",
-    ("balls-bins-circle", "csv"): "c0cb4b0bb47d2bcfe4d0cbc03d13f853bf28ade252e540190a99b6b82b1e88af",
-    ("oracle-compare-matching", "json"): "b4020c51a4086f852f8a069c0270587920dd15e9312104e1a08e86bffc92547a",
-    ("oracle-compare-matching", "csv"): "c1ec4237df4b74f92be48844bb5abb4b0a29d77dc6823c302b84dab7df4ba9d2",
-    ("oracle-compare-least-loaded", "json"): "726fd5301e10b8cb142f2c9326efd3ae0972214aebff7233da519bd23915f094",
-    ("oracle-compare-least-loaded", "csv"): "11db1d3596ada4d0a32b6a2304d48fbd65537bd3f108eb9d2ee042384fed7391",
-    ("matching", "json"): "1dac97d9e01189aaf6cb77760fa3e0b6d3d0e93389de9ba9da20466e93c86116",
-    ("matching", "csv"): "1dd38eb2d4c26a055da9b65d64cb803a5ab02b84f15d548bc4457f6bbd517cd7",
-    ("accept-9", "json"): "cafc117113b83aacdfbc336e9bccfca9ef89bff03b0b7e6cb9703bb3b9658151",
+    ('coloring', 'json'): (
+        "eb59c7b8cbe812e552abf867700a24b2929952f9a058099862b04be9dd7357a0",
+        "4e2305297b8b66f94b887cf3d52051833447b247548a449177f304e882a30526",
+    ),
+    ('coloring', 'csv'): (
+        "2d401641fb75fcc3877398dd50fb5c045b3bffb568a15a153798b2a265618b1f",
+        "55294c542728073fd32e65dfaaf1ca58811c012574ac7dabfddef6bc55b4177b",
+    ),
+    ('ksat', 'json'): (
+        "5627b5b90b8957b522f2ec8d497bf7dc0b09196052e52020577e282886048d04",
+        "49ced3057ce1bd6c3cc644481534b09c1c00e9b501d821ae6d53851e5da36e03",
+    ),
+    ('ksat', 'csv'): (
+        "a6470c3ae80cc64ce845703860d242c33742007e3b18592572da42c9ebec909a",
+        "55294c542728073fd32e65dfaaf1ca58811c012574ac7dabfddef6bc55b4177b",
+    ),
+    ('coloring-input', 'json'): (
+        "c4a70dd3d56d14a11d5de361e21d527bf317c12bc8b7c60945722cc2617959ff",
+        "1a8a00e11f09988ddd3b717127411b90015d5ae338996de4a5f511a9b3970a69",
+    ),
+    ('coloring-input', 'csv'): (
+        "2d401641fb75fcc3877398dd50fb5c045b3bffb568a15a153798b2a265618b1f",
+        "55294c542728073fd32e65dfaaf1ca58811c012574ac7dabfddef6bc55b4177b",
+    ),
+    ('ksat-input', 'json'): (
+        "a32bfe262bd10504b5082d559b8b56db4f7b2e45ac72a63898882955b777b9f0",
+        "92828edcab029f24cd3f86fb9c31c1b6e8a8a0b3ba447da49845e5bfb4c9c2d5",
+    ),
+    ('ksat-input', 'csv'): (
+        "a6470c3ae80cc64ce845703860d242c33742007e3b18592572da42c9ebec909a",
+        "55294c542728073fd32e65dfaaf1ca58811c012574ac7dabfddef6bc55b4177b",
+    ),
+    ('coloring-lenient', 'json'): (
+        "41a06ab40131209e24013631ec1e2169e80a871080a68c6f6e08d84d18a9a3ae",
+        "3eb4b6d021f27a86a46a9c608f87b40979249853ffff07028da24e82a90f53b6",
+    ),
+    ('coloring-lenient', 'csv'): (
+        "1e06da7217da96e56796f2f196f9565f9f63857a6cafafaec665ec012621f684",
+        "434e037433755eb56014e9d302f1491e9bca9d2bf375a0ca6c47c685863a341a",
+    ),
+    ('ksat-lenient', 'json'): (
+        "8a164df3316a392d703658bb9c6947e19e72a0b040d2c6c4a8c44d4832586b3c",
+        "f34be1e878f1cedf9541054f8c1301b32d21e24db408e34cd19f83aa1a01a346",
+    ),
+    ('ksat-lenient', 'csv'): (
+        "92a5458efc692abda2afb25d189fbbe79b862f2fa159007e5e163c50d27a0932",
+        "434e037433755eb56014e9d302f1491e9bca9d2bf375a0ca6c47c685863a341a",
+    ),
+    ('balls-bins-least-loaded', 'json'): (
+        "a55c331ac755334bf6eba08a9d34f31e757bd275f3f9ff3bbfe2c4e724dab980",
+        "bde1630f3a954f3462463e4d36442290a62976e5b5cbe2ddee580675c9688535",
+    ),
+    ('balls-bins-least-loaded', 'csv'): (
+        "d82652286e44df34f03b807a6a4a383a6b3ac4adca37d3bce14983f85284a372",
+        "08e250d78c6d870d29204d22c8fe3aaa4400dcd05624f31c02ead33f64ffb7c8",
+    ),
+    ('balls-bins-always-go-left', 'json'): (
+        "588b985df23554a3d6a9c278b6cec10f7922c347a76f1ee623dd679ce9571194",
+        "f4946cd4ba05d080b40fe8d38972be553e73080646189e201896fbbeccb9e3b9",
+    ),
+    ('balls-bins-always-go-left', 'csv'): (
+        "ad8fcb3c0202149f9edbff6dc17e57c7412145d77f3c585f38640a4dd900b948",
+        "2be20ad519d9bdf112dd3d8fa3b7f92cdbe4e46a23f743d0dbf9d482cb8725ad",
+    ),
+    ('balls-bins-capacity', 'json'): (
+        "ebe050b021502f9d1f1ff6d062ea7a9d10bd3a5912779ad05474a2d75bf25b7c",
+        "fb5977d013edbd2e45e3e8262611ece2156c3c6db2bb70d9af57efe2ed6e49c2",
+    ),
+    ('balls-bins-capacity', 'csv'): (
+        "bc3b0bca355dee1a88eac7be6988368362b45d9a547f0962377e1b55ff7cdd48",
+        "0cfe31a948bdc5a4581802e064684821d55695748aceb9f7a06de49d0a7ce66a",
+    ),
+    ('balls-bins-capacity-file', 'json'): (
+        "88add6d8c7b5b0004dfd5fa0b782b1deaf9a2603b474cc38b48230d89c0e4c1f",
+        "c1272699e7a4131bf6254865d3ece62acc0f9ab5e238caa2b272acabab79d93d",
+    ),
+    ('balls-bins-capacity-file', 'csv'): (
+        "01341c0ea0698d12102e8184cccdba8b359c2f5fe227f0a68d38c41352bd5bef",
+        "d9d40ad8acef6898913dc7669d27a3a306705d4fa0c23397fd65417a6c019560",
+    ),
+    ('balls-bins-circle', 'json'): (
+        "96c5e4c6521c58fc2b33d0f9d269147dda2b78604e8334144eea0ca5efe126a7",
+        "4b7fc6c8b23288b4cd9f8c7ce4e44aa3f824cacec552c21b54a0af2aaa64d604",
+    ),
+    ('balls-bins-circle', 'csv'): (
+        "c9426070ef8356c1d1652a343a53066faaff12b74041c2d8b4f0094abbb4da22",
+        "bf8c4054dd2a519a42d7c492e52cf4f2b330282773ff43907d8677aa917a524d",
+    ),
+    ('oracle-compare-matching', 'json'): (
+        "b4020c51a4086f852f8a069c0270587920dd15e9312104e1a08e86bffc92547a",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ),
+    ('oracle-compare-matching', 'csv'): (
+        "c1ec4237df4b74f92be48844bb5abb4b0a29d77dc6823c302b84dab7df4ba9d2",
+        "a683096011db3975a1e401e33b0047d1f2677a11efe85ef12806f016ae039795",
+    ),
+    ('oracle-compare-least-loaded', 'json'): (
+        "726fd5301e10b8cb142f2c9326efd3ae0972214aebff7233da519bd23915f094",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ),
+    ('oracle-compare-least-loaded', 'csv'): (
+        "11db1d3596ada4d0a32b6a2304d48fbd65537bd3f108eb9d2ee042384fed7391",
+        "a683096011db3975a1e401e33b0047d1f2677a11efe85ef12806f016ae039795",
+    ),
+    ('matching', 'json'): (
+        "952fb384eb1fb50c11008c63dd0355083c7bab4e5ace3b7a8639fffb249a447c",
+        "f53a7fdd8b6964895d95a40a1962382e159f2bebe04259c759d7f88e917b2564",
+    ),
+    ('matching', 'csv'): (
+        "26eee5bcc97e930d6924304d3d28a0e4b0448e3d9e42de971a7b4892e9bad244",
+        "346634b6511011f2d35ddcf1445e63f6d70dd9f8f1c0bb4d3a9349e34cb5bc08",
+    ),
+    ('accept-9', 'json'): (
+        "cafc117113b83aacdfbc336e9bccfca9ef89bff03b0b7e6cb9703bb3b9658151",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ),
 }
 
 
@@ -374,12 +468,38 @@ def _report_digest(runner, tmp_path, case, fmt):
         main, ["--seed", SEED_HEX, "--format", fmt, "--out", str(out)] + args
     )
     assert result.exit_code == exit_code, result.output
-    data = out.read_bytes()
-    if fmt == "json" and "--input" in args:
-        report = json.loads(data)
-        report["spec"]["input"] = ""
-        data = (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
-    return hashlib.sha256(data).hexdigest()
+    text = out.read_text()
+    if fmt == "json":
+        report = json.loads(text)
+        if "--input" in args:
+            report["spec"]["input"] = ""
+        costs = []
+        _pop_costs(report, "", costs)
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    else:
+        rows = [line.split(",") for line in text.splitlines()]
+        cols = [i for i, name in enumerate(rows[0]) if name in COST_FIELDS]
+        costs = [[row[i] for i in cols] for row in rows]
+        text = "".join(
+            ",".join(x for i, x in enumerate(row) if i not in cols) + "\n" for row in rows
+        )
+    return (
+        hashlib.sha256(text.encode()).hexdigest(),
+        hashlib.sha256(json.dumps(costs).encode()).hexdigest(),
+    )
+
+
+def _pop_costs(node, path, costs):
+    """Move every cost field under ``node`` into ``costs`` as [path, value]."""
+    if isinstance(node, dict):
+        for key in sorted(node):
+            if key in COST_FIELDS:
+                costs.append([path + key, node.pop(key)])
+            else:
+                _pop_costs(node[key], path + key + ".", costs)
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            _pop_costs(item, "%s%d." % (path, i), costs)
 
 
 @pytest.mark.parametrize(
@@ -387,7 +507,9 @@ def _report_digest(runner, tmp_path, case, fmt):
     [(c, f) for c in REPORT_CASES for f in ("json", "csv") if c != "accept-9" or f == "json"],
 )
 def test_pinned_report(runner, tmp_path, case, fmt):
-    assert _report_digest(runner, tmp_path, case, fmt) == REPORT_DIGESTS[(case, fmt)]
+    answers, costs = _report_digest(runner, tmp_path, case, fmt)
+    assert answers == REPORT_DIGESTS[(case, fmt)][0]
+    assert costs == REPORT_DIGESTS[(case, fmt)][1]
 
 
 @pytest.mark.parametrize("kind", ["coloring", "ksat"])
