@@ -1,9 +1,13 @@
+import hashlib
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcakit.coloring import (
     COLORS,
+    DEFAULT_TREE_CAP,
     ColoringFailure,
     ColoringParams,
     PhaseThresholds,
@@ -19,7 +23,14 @@ from lcakit.coloring import (
     verify_coloring,
 )
 from lcakit.graphs import CnfFormula, Hypergraph, gen_cnf, gen_hypergraph
-from lcakit.ranks import RandomStream, Seed, derive_subseed
+from lcakit.ranks import (
+    FullPseudorandom,
+    KWiseIndependent,
+    RandomStream,
+    Seed,
+    derive_subseed,
+    next_prime,
+)
 
 SEED = Seed.from_hex("5eed" * 16)
 
@@ -302,3 +313,97 @@ class TestFailureModes:
             raise ColoringFailure("component", "too big")
         except ColoringFailure as exc:
             assert exc.reason == "component"
+
+
+# Pin shapes (m, n, k, d, lenient): a strict k = 40 instance, and a lenient
+# one whose thresholds floor at 1, so that some items resolve after phase 1
+# and some queries fail for reasons other than the cap.
+PIN_SHAPES = ((200, 10, 40, 2, False), (80, 40, 4, 6, True))
+PIN_CAPS = (DEFAULT_TREE_CAP, 1, 3, 8)
+
+# sha256 digests of the shared-state batch (as color_all and sat_all run it,
+# stopping at the first failure) and of fresh-state queries (as color_query
+# and sat_query run them), split so that a change meant to lower costs
+# re-records only the cost digest.  The answer digest covers (value,
+# phase_resolved) of every query that answers at the default cap.  The cost
+# digest covers every query's probes, or the reason it failed: whether a
+# capped query answers is a cost, and when it does, it must answer as the
+# uncapped query does.
+PINNED_COLORING_ANSWERS = "bf89f10452ab755056b433776f9526929d98ca6967bb709bf3d56ed72eb59405"
+PINNED_COLORING_COSTS = "321db36cfa1b70250fe99a1e44e76e02046b902dbc76d0b08d53adedfcf50354"
+
+
+def test_pinned_answers_and_costs():
+    answers, costs = hashlib.sha256(), hashlib.sha256()
+    reasons, late = set(), 0
+    for name, gen, state_of in (
+        ("coloring", gen_hypergraph, coloring_state),
+        ("ksat", gen_cnf, sat_state),
+    ):
+        for i, (m, n, k, d, lenient) in enumerate(PIN_SHAPES):
+            inst = gen(derive_subseed(SEED, b"pin:%s:%d" % (name.encode(), i)), m, n, k, d)
+            rseed = derive_subseed(SEED, b"pin-ranks:%d" % i)
+            first = {}  # item -> its uncapped (value, phase)
+            for cap in PIN_CAPS:
+                params = ColoringParams(lenient=lenient, tree_cap=cap)
+                shared = state_of(inst, rseed, params)
+                for mode in ("all", "fresh"):
+                    for x in range(inst.m):
+                        tag = (name, i, cap, mode, x)
+                        state = shared if mode == "all" else state_of(inst, rseed, params)
+                        try:
+                            value, phase, probes = state.query(x)
+                        except ColoringFailure as exc:
+                            costs.update(b"%r\n" % (tag + (exc.reason,),))
+                            reasons.add(exc.reason)
+                            if mode == "all":
+                                break
+                            continue
+                        costs.update(b"%r\n" % (tag + (probes,),))
+                        if cap == DEFAULT_TREE_CAP:
+                            answers.update(b"%r\n" % (tag + (value, phase),))
+                            late += phase >= 2
+                            first.setdefault(x, (value, phase))
+                        assert first.get(x) == (value, phase)
+    assert "tree_cap" in reasons and late > 0
+    assert answers.hexdigest() == PINNED_COLORING_ANSWERS
+    assert costs.hexdigest() == PINNED_COLORING_COSTS
+
+
+def _outcome(state, x):
+    """(value, phase_resolved) of item x, or the reason its query failed."""
+    try:
+        return state.query(x)[:2]
+    except ColoringFailure as exc:
+        return exc.reason
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([(gen_hypergraph, coloring_state), (gen_cnf, sat_state)]),
+    st.sampled_from([(60, 8, 6, 2), (60, 16, 6, 3), (80, 40, 4, 6)]),
+    st.integers(0, 10**6),
+    st.booleans(),
+    st.integers(1, 8),
+    st.randoms(use_true_random=False),
+)
+def test_query_order_oblivious(problem, shape, tag, kwise, cap, rng):
+    """One shared state, fresh states in a shuffled order, and capped states
+    in a shuffled order all give the same answers."""
+    gen, state_of = problem
+    inst = gen(derive_subseed(SEED, b"obl:%d" % tag), *shape)
+    rseed = derive_subseed(SEED, b"oblr:%d" % tag)
+    kind = KWiseIndependent(4, next_prime(inst.m**3)) if kwise else FullPseudorandom()
+    params = ColoringParams(kind=kind, lenient=True)
+    shared = state_of(inst, rseed, params)
+    want = [_outcome(shared, x) for x in range(inst.m)]
+    order = list(range(inst.m))
+    rng.shuffle(order)
+    for x in order:
+        assert _outcome(state_of(inst, rseed, params), x) == want[x]
+    capped = ColoringParams(kind=kind, lenient=True, tree_cap=cap)
+    shared = state_of(inst, rseed, capped)
+    for x in order:
+        for state in (shared, state_of(inst, rseed, capped)):
+            got = _outcome(state, x)
+            assert got == want[x] or got == "tree_cap"
