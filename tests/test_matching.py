@@ -269,9 +269,11 @@ PIN_GRAPHS = ((60, 3), (200, 4), (300, 5))
 
 # sha256 digests of all_verdicts and capped is_matched, split so that a change
 # meant to lower costs re-records only the cost digest.  The answer digest
-# covers each verdict and where a capped query is cut; the cost digest covers
-# probes, evaluated-set sizes, and each cut's size, probes and message.
-PINNED_VERDICT_ANSWERS = "854ad12b68b9f740b31e564441398b26c3806d32317a60639354267137866b1b"
+# covers each all_verdicts verdict.  The cost digest covers probes,
+# evaluated-set sizes, and where each capped query is cut, with the cut's
+# size, probes and message: whether a capped query answers is a cost, and
+# when it does, it must answer as the uncapped query does.
+PINNED_VERDICT_ANSWERS = "b98910214ba993eadd5ee9340fd179388983123a4a7a9779511213a111c40269"
 PINNED_VERDICT_COSTS = "498e3ffd13ec327a0875439e8e70724350c22ecb290a15881f3e11559e34c532"
 
 
@@ -281,7 +283,8 @@ def test_pinned_verdicts():
         g = gen_bounded_degree(derive_subseed(SEED, b"pin:%d" % i), n, d)
         s = derive_subseed(SEED, b"pin-ranks:%d" % i)
         for kind in (FullPseudorandom(), KWiseIndependent(8, next_prime(n**3))):
-            for e, v in all_verdicts(g, s, kind).items():
+            verdicts = all_verdicts(g, s, kind)
+            for e, v in verdicts.items():
                 answers.update(b"%r %d\n" % (e, v.matched))
                 costs.update(b"%r %d %d\n" % (e, v.probes, v.edges_evaluated))
             for cap in (1, 2, 3, 5):
@@ -289,13 +292,10 @@ def test_pinned_verdicts():
                     try:
                         v = is_matched(g, e, s, kind, cap)
                     except TruncationError as exc:
-                        answer = (cap, e, "cut")
-                        cost = (cap, e, "cut", exc.size, exc.probes, str(exc))
-                    else:
-                        answer = (cap, e, v.matched)
-                        cost = (cap, e, v.probes, v.edges_evaluated)
-                    answers.update(b"%r\n" % (answer,))
-                    costs.update(b"%r\n" % (cost,))
+                        costs.update(b"%r\n" % ((cap, e, "cut", exc.size, exc.probes, str(exc)),))
+                        continue
+                    assert v.matched == verdicts[e].matched
+                    costs.update(b"%r\n" % ((cap, e, v.probes, v.edges_evaluated),))
     assert answers.hexdigest() == PINNED_VERDICT_ANSWERS
     assert costs.hexdigest() == PINNED_VERDICT_COSTS
 
@@ -330,3 +330,17 @@ def test_pinned_full_matching():
                     row = (cap, sorted(got))
                 h.update(b"%r\n" % (row,))
     assert h.hexdigest() == PINNED_FULL_MATCHING
+
+
+def test_all_ties_fall_to_packed_id():
+    """A degree-0 polynomial gives every edge the same rank value, so every
+    two adjacent edges tie and order falls to the packed id, which on
+    canonical edges is lexicographic order."""
+    for i, (n, d) in enumerate(PIN_GRAPHS):
+        g = gen_bounded_degree(derive_subseed(SEED, b"pin:%d" % i), n, d)
+        s = derive_subseed(SEED, b"pin-ranks:%d" % i)
+        kind = KWiseIndependent(1, next_prime(n * n + 1))
+        want = greedy_by_rank(g, s, kind)
+        assert want == greedy_oracle(sorted(g.edges()))
+        assert full_matching(g, s, kind) == want
+        assert {e for e in g.edges() if is_matched(g, e, s, kind).matched} == want
