@@ -11,11 +11,14 @@ phase.  Constraints that end a phase unsafe are the survivors; the next
 phase works on the connected component of survivors around the query.
 
 Phase 1 runs over the whole instance, so it is simulated locally: items are
-ordered by seeded ranks, and an item's decision is replayed from its
-dependency closure only.  Phases 2 and 3 retry their random coloring up to a
-logarithmic number of rounds, each round with a fresh coin ensemble, until
-the surviving components are small ("good").  Phase 4 brute-forces the tiny
-residual component.
+ordered by seeded ranks, and an item is decided by scanning each of its
+constraints over the lower-ranked items, in ascending rank, until the
+constraint turns safe or dangerous.  An undecided item such a scan reads is
+decided first, on an explicit stack, so a query decides only the items its
+scans read, never those past a scan's stopping point.  Phases 2 and 3 retry
+their random coloring up to a logarithmic number of rounds, each round with
+a fresh coin ensemble, until the surviving components are small ("good").
+Phase 4 brute-forces the tiny residual component.
 
 Thresholds k1 > k2 > k3 > k4 drop by ``ceil(log2(16 d (d-1)^3 (d+1)))`` per
 phase; the run is admissible when ``k4 >= 1`` and ``2^(k4-1) >= e (d+1)``,
@@ -29,7 +32,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
-from .exploration import _closure, ilog2ceil
+from .exploration import ilog2ceil
 from .graphs import (
     CnfFormula,
     Hypergraph,
@@ -116,8 +119,9 @@ class ColoringParams:
     """Knobs shared by the coloring and CNF query entry points.
 
     ``k`` and ``d`` default to the instance's uniformity and realized
-    dependency degree.  ``tree_cap`` bounds the phase-1 closure per query (a
-    safety valve against pathological instances, reported as a failure).
+    dependency degree.  ``tree_cap`` bounds the undecided items one phase-1
+    decision may need, the item itself included (a safety valve against
+    pathological instances, reported as a failure).
     """
 
     kind: OrderingKind = field(default_factory=FullPseudorandom)
@@ -200,6 +204,8 @@ class QueryState:
     def __init__(self, view, seed: Seed, params: ColoringParams):
         self.view = view
         self.params = params
+        if params.tree_cap < 1:
+            raise ValueError("tree_cap must be >= 1")
         k = params.k if params.k is not None else view.k
         d = params.d if params.d is not None else view.dep
         self.d = d
@@ -226,7 +232,7 @@ class QueryState:
         self.phase_of: dict[int, int] = {}
         self._edge_order: dict[int, list[tuple[tuple[int, int], int]]] = {}
         self._surv1: dict[int, bool] = {}
-        self._comp1: dict[int, tuple[int, ...]] = {}
+        self._comps: dict[tuple[int, int], tuple[int, ...]] = {}
         self._phase_cache: dict = {}
 
     # -- counted oracle access ------------------------------------------------
@@ -244,43 +250,70 @@ class QueryState:
             self._coin_seed.with_ensemble(ensemble), item.to_bytes(8, "big"), 2
         )
 
-    # -- phase 1: rank-ordered local replay ------------------------------------
-
-    def _neighbors(self, v: int):
-        for c in self._cons_of(v):
-            for w in self._items_of(c):
-                if w != v:
-                    yield w
+    # -- phase 1: rank-ordered local decisions --------------------------------
 
     def _decided(self, v: int) -> bool:
         return v in self.color1 or v in self.saved1
 
     def _ensure(self, x: int) -> None:
-        """Decide (color or save) x and everything its decision depends on."""
+        """Decide (color or save) x, first deciding every item its scans read.
+
+        Those items rank strictly lower than the item whose scan reads them,
+        so an explicit stack decides them with no cycle and no recursion.
+        Needing more than ``tree_cap`` undecided items, x included, fails
+        the query; they all lie in x's decreasing-rank closure.
+        """
         if self._decided(x):
             return
-        order, _, _, _, truncated = _closure(
-            self._neighbors, x, self.key_of, self.params.tree_cap
-        )
-        if truncated:
-            raise ColoringFailure(
-                "tree_cap",
-                f"query tree of item {x} exceeded cap {self.params.tree_cap}",
-            )
-        for u in order:  # ascending rank; dependencies come first
-            if not self._decided(u):
-                self._process(u)
+        cap = self.params.tree_cap
+        stack = [x]
+        fresh = 1  # undecided items this decision has needed
+        while stack:
+            w = self._process(stack[-1])
+            if w is None:
+                stack.pop()
+            elif fresh == cap:
+                raise ColoringFailure(
+                    "tree_cap",
+                    f"deciding item {x} needs more than {cap} undecided items",
+                )
+            else:
+                fresh += 1
+                stack.append(w)
 
-    def _process(self, u: int) -> None:
+    def _process(self, u: int) -> int | None:
+        """Decide u, or return an undecided item a scan reads, to decide first.
+
+        Each scan replays one of u's constraints strictly before u's rank, in
+        ascending rank.  It stops once the constraint turns safe, or turns
+        dangerous (exactly k2 unassigned items while unsafe), which saves u.
+        An item saved earlier stays unassigned all phase.
+        """
         ku = self.key_of(u)
         for c in self._cons_of(u):
-            if self._dangerous_before(c, ku):
-                self.saved1.add(u)
-                return
+            danger = self.view.k - self.thresholds.k2  # assigned, k2 left unassigned
+            assigned = 0
+            tracker = None
+            for kw, w in self._edge_timeline(c):
+                if kw >= ku:
+                    break
+                val = self.color1.get(w)
+                if val is None:
+                    if w in self.saved1:
+                        continue
+                    return w
+                assigned += 1
+                tracker, safe = self.view.step(c, w, val, tracker)
+                if safe:
+                    break
+                if assigned == danger:
+                    self.saved1.add(u)
+                    return None
         val = self._coin(0, u)
         self.color1[u] = val
         self.final[u] = val
         self.phase_of[u] = 1
+        return None
 
     def _edge_timeline(self, c: int):
         got = self._edge_order.get(c)
@@ -289,101 +322,73 @@ class QueryState:
             self._edge_order[c] = got
         return got
 
-    def _dangerous_before(self, c: int, t: tuple[int, int]) -> bool:
-        """Replay constraint c's phase-1 history strictly before time t.
-
-        Returns True iff c turned dangerous (hit exactly k2 unassigned items
-        while unsafe) at some earlier time and was not killed first.  Every
-        item of c earlier than t is already decided, so the walk is exact.
-        """
-        k2 = self.thresholds.k2
-        k = self.view.k
-        assigned = 0
-        tracker = None
-        for kw, w in self._edge_timeline(c):
-            if kw >= t:
-                break
-            val = self.color1.get(w)
-            if val is None:  # saved earlier; stays unassigned all phase
-                continue
-            assigned += 1
-            tracker, safe = self.view.step(c, w, val, tracker)
-            if safe:
-                return False
-            if k - assigned == k2:
-                return True
-        return False
-
-    def _safe_phase1(self, c: int) -> bool:
+    def _scan(self, c: int, value_of: Callable[[int], int | None]):
+        """(assigned count, tracker, safe) of c, where ``value_of`` gives an
+        item's value, or None while it is unassigned.  The scan stops once c
+        is safe, so the count is complete only while c is unsafe."""
+        count = 0
         tracker = None
         for w in self.view.items_of(c):
-            val = self.color1.get(w)
-            if val is None:
-                continue
-            tracker, safe = self.view.step(c, w, val, tracker)
-            if safe:
-                return True
-        return False
+            val = value_of(w)
+            if val is not None:
+                count += 1
+                tracker, safe = self.view.step(c, w, val, tracker)
+                if safe:
+                    return count, tracker, True
+        return count, tracker, False
 
     def _survived1(self, c: int) -> bool:
         got = self._surv1.get(c)
         if got is None:
             for w in self._items_of(c):
                 self._ensure(w)
-            got = not self._safe_phase1(c)
+            got = not self._scan(c, self.color1.get)[2]
             self._surv1[c] = got
         return got
 
-    def _component1(self, x: int) -> tuple[int, ...]:
-        """Connected component of survivors around x's constraints."""
-        got = self._comp1.get(x)
+    def _component(
+        self, x: int, phase: int, survives: Callable[[int], bool]
+    ) -> tuple[int, ...]:
+        """Connected component of the constraints surviving ``phase`` around
+        x's constraints; cached for every item of its constraints."""
+        got = self._comps.get((phase, x))
         if got is not None:
             return got
-        start = [c for c in self._cons_of(x) if self._survived1(c)]
+        start = [c for c in self._cons_of(x) if survives(c)]
+        if not start:
+            raise ColoringFailure(
+                "internal",
+                f"item {x} is unassigned yet touches no surviving constraint",
+            )
         comp = set(start)
         queue = list(start)
         while queue:
             c = queue.pop()
             for w in self._items_of(c):
                 for c2 in self._cons_of(w):
-                    if c2 not in comp and self._survived1(c2):
+                    if c2 not in comp and survives(c2):
                         comp.add(c2)
                         queue.append(c2)
                         if len(comp) > self.comp1_bound:
                             raise ColoringFailure(
                                 "component",
-                                f"phase-1 survivor component around item {x} "
+                                f"phase-{phase} survivor component around item {x} "
                                 f"exceeded {self.comp1_bound} constraints",
                             )
         out = tuple(sorted(comp))
         for c in out:
             for w in self.view.items_of(c):
-                self._comp1.setdefault(w, out)
-        self._comp1[x] = out
+                self._comps.setdefault((phase, w), out)
         return out
 
     # -- phases 2 and 3: retried component coloring -----------------------------
-
-    def _round_state(self, c: int):
-        """[assigned_count, tracker, safe] of c under committed values."""
-        count = 0
-        tracker = None
-        safe = False
-        for w in self.view.items_of(c):
-            val = self.final.get(w)
-            if val is None:
-                continue
-            count += 1
-            if not safe:
-                tracker, safe = self.view.step(c, w, val, tracker)
-        return [count, tracker, safe]
 
     def _try_round(self, edges, items, item_cons, k_next: int, ensemble: int):
         """One random-coloring attempt; returns (assigned, survived)."""
         k = self.view.k
         assigned: dict[int, int] = {}
         saved: set[int] = set()
-        state = {c: self._round_state(c) for c in edges}
+        state = {c: list(self._scan(c, self.final.get)) for c in edges}
 
         def mark_dangerous(c: int) -> None:
             for w in self.view.items_of(c):
@@ -481,19 +486,6 @@ class QueryState:
 
     # -- phase 4: brute force ---------------------------------------------------
 
-    def _safe_with(self, c: int, extra: dict[int, int]) -> bool:
-        tracker = None
-        for w in self.view.items_of(c):
-            val = self.final.get(w)
-            if val is None:
-                val = extra.get(w)
-            if val is None:
-                continue
-            tracker, safe = self.view.step(c, w, val, tracker)
-            if safe:
-                return True
-        return False
-
     def _run_phase4(self, edges: tuple[int, ...]) -> None:
         if self._phase_cache.get((4, edges)):
             return
@@ -504,7 +496,8 @@ class QueryState:
         trials = min(total, self.params.brute_force_trials)
         for mask in range(trials):
             extra = {v: (mask >> j) & 1 for j, v in enumerate(items)}
-            if all(self._safe_with(c, extra) for c in edges):
+            value_of = lambda w: self.final.get(w, extra.get(w))  # noqa: E731
+            if all(self._scan(c, value_of)[2] for c in edges):
                 for v, val in extra.items():
                     self.final[v] = val
                     self.phase_of[v] = 4
@@ -526,33 +519,13 @@ class QueryState:
         before = self.probes
         self._ensure(x)
         if x not in self.final:
-            comp = self._component1(x)
-            survived = self._run_phase(2, comp)
+            survived = self._run_phase(2, self._component(x, 1, self._survived1))
             if x not in self.final:
-                comp = self._component_of(x, survived)
+                comp = self._component(x, 2, survived.__contains__)
                 survived = self._run_phase(3, comp)
                 if x not in self.final:
-                    comp = self._component_of(x, survived)
-                    self._run_phase4(comp)
+                    self._run_phase4(self._component(x, 3, survived.__contains__))
         return self.final[x], self.phase_of[x], self.probes - before
-
-    def _component_of(self, x: int, survived: frozenset[int]) -> tuple[int, ...]:
-        start = [c for c in self._cons_of(x) if c in survived]
-        if not start:
-            raise ColoringFailure(
-                "internal",
-                f"item {x} is unassigned yet touches no surviving constraint",
-            )
-        comp = set(start)
-        queue = list(start)
-        while queue:
-            c = queue.pop()
-            for w in self._items_of(c):
-                for c2 in self._cons_of(w):
-                    if c2 in survived and c2 not in comp:
-                        comp.add(c2)
-                        queue.append(c2)
-        return tuple(sorted(comp))
 
 
 # ---------------------------------------------------------------------------

@@ -330,7 +330,7 @@ COST_FIELDS = {"max_probes", "probes", "probes_mean", "probes_max", "edges_evalu
 REPORT_DIGESTS = {
     ('coloring', 'json'): (
         "eb59c7b8cbe812e552abf867700a24b2929952f9a058099862b04be9dd7357a0",
-        "4e2305297b8b66f94b887cf3d52051833447b247548a449177f304e882a30526",
+        "9c8ef4396c78772e366f04995f81efbd7bd2fe1f874295f78f5d256dfc206f6d",
     ),
     ('coloring', 'csv'): (
         "2d401641fb75fcc3877398dd50fb5c045b3bffb568a15a153798b2a265618b1f",
@@ -338,7 +338,7 @@ REPORT_DIGESTS = {
     ),
     ('ksat', 'json'): (
         "5627b5b90b8957b522f2ec8d497bf7dc0b09196052e52020577e282886048d04",
-        "49ced3057ce1bd6c3cc644481534b09c1c00e9b501d821ae6d53851e5da36e03",
+        "d2d1ac862675057d012d1e09d2650e1f8ab5ad81d94ef0e6863fac5a785cd9b2",
     ),
     ('ksat', 'csv'): (
         "a6470c3ae80cc64ce845703860d242c33742007e3b18592572da42c9ebec909a",
@@ -346,7 +346,7 @@ REPORT_DIGESTS = {
     ),
     ('coloring-input', 'json'): (
         "c4a70dd3d56d14a11d5de361e21d527bf317c12bc8b7c60945722cc2617959ff",
-        "1a8a00e11f09988ddd3b717127411b90015d5ae338996de4a5f511a9b3970a69",
+        "2dd7d37872669d4275d2a0982df34b3ba04bda02a691207e8019e4367d138e11",
     ),
     ('coloring-input', 'csv'): (
         "2d401641fb75fcc3877398dd50fb5c045b3bffb568a15a153798b2a265618b1f",
@@ -354,7 +354,7 @@ REPORT_DIGESTS = {
     ),
     ('ksat-input', 'json'): (
         "a32bfe262bd10504b5082d559b8b56db4f7b2e45ac72a63898882955b777b9f0",
-        "92828edcab029f24cd3f86fb9c31c1b6e8a8a0b3ba447da49845e5bfb4c9c2d5",
+        "2dd7d37872669d4275d2a0982df34b3ba04bda02a691207e8019e4367d138e11",
     ),
     ('ksat-input', 'csv'): (
         "a6470c3ae80cc64ce845703860d242c33742007e3b18592572da42c9ebec909a",
@@ -362,7 +362,7 @@ REPORT_DIGESTS = {
     ),
     ('coloring-lenient', 'json'): (
         "41a06ab40131209e24013631ec1e2169e80a871080a68c6f6e08d84d18a9a3ae",
-        "3eb4b6d021f27a86a46a9c608f87b40979249853ffff07028da24e82a90f53b6",
+        "da9b3a129615f1c17714340509b903f6a3a3501c3effdccfb875847231edf098",
     ),
     ('coloring-lenient', 'csv'): (
         "1e06da7217da96e56796f2f196f9565f9f63857a6cafafaec665ec012621f684",
@@ -370,7 +370,7 @@ REPORT_DIGESTS = {
     ),
     ('ksat-lenient', 'json'): (
         "8a164df3316a392d703658bb9c6947e19e72a0b040d2c6c4a8c44d4832586b3c",
-        "f34be1e878f1cedf9541054f8c1301b32d21e24db408e34cd19f83aa1a01a346",
+        "c5237fd164067455e4e761cd9a9f73831ad9849522154172123ca1eb121a5efd",
     ),
     ('ksat-lenient', 'csv'): (
         "92a5458efc692abda2afb25d189fbbe79b862f2fa159007e5e163c50d27a0932",

@@ -330,7 +330,7 @@ PIN_CAPS = (DEFAULT_TREE_CAP, 1, 3, 8)
 # capped query answers is a cost, and when it does, it must answer as the
 # uncapped query does.
 PINNED_COLORING_ANSWERS = "bf89f10452ab755056b433776f9526929d98ca6967bb709bf3d56ed72eb59405"
-PINNED_COLORING_COSTS = "321db36cfa1b70250fe99a1e44e76e02046b902dbc76d0b08d53adedfcf50354"
+PINNED_COLORING_COSTS = "25f169cf4b315b1d193ef9e5a51379e1a6b6abc09c5545fc9c10dcef45c434a3"
 
 
 def test_pinned_answers_and_costs():
