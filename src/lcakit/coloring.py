@@ -252,9 +252,6 @@ class QueryState:
 
     # -- phase 1: rank-ordered local decisions --------------------------------
 
-    def _decided(self, v: int) -> bool:
-        return v in self.color1 or v in self.saved1
-
     def _ensure(self, x: int) -> None:
         """Decide (color or save) x, first deciding every item its scans read.
 
@@ -263,7 +260,7 @@ class QueryState:
         Needing more than ``tree_cap`` undecided items, x included, fails
         the query; they all lie in x's decreasing-rank closure.
         """
-        if self._decided(x):
+        if x in self.color1 or x in self.saved1:
             return
         cap = self.params.tree_cap
         stack = [x]
