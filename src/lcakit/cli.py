@@ -236,6 +236,8 @@ def main(ctx, seed, fmt, out, jobs):
         parsed = Seed.from_hex(seed)
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
+        raise click.BadParameter(f"directory of {out!r} does not exist", param_hint="--out")
     ctx.obj = {"seed": parsed, "seed_hex": parsed.hex(), "fmt": fmt, "out": out, "jobs": jobs}
 
 

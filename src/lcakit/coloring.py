@@ -32,7 +32,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
-from .exploration import ilog2ceil
+from .exploration import _decide, ilog2ceil
 from .graphs import (
     CnfFormula,
     Hypergraph,
@@ -53,6 +53,7 @@ from .ranks import (
 COLORS = ("red", "blue")
 
 DEFAULT_TREE_CAP = 1 << 20
+BRUTE_FORCE_TRIALS = 1 << 24  # phase-4 assignments tried at most
 
 
 class ThresholdError(ValueError):
@@ -118,18 +119,15 @@ def compute_thresholds(k: int, d: int, lenient: bool = False) -> PhaseThresholds
 class ColoringParams:
     """Knobs shared by the coloring and CNF query entry points.
 
-    ``k`` and ``d`` default to the instance's uniformity and realized
-    dependency degree.  ``tree_cap`` bounds the undecided items one phase-1
-    decision may need, the item itself included (a safety valve against
-    pathological instances, reported as a failure).
+    Thresholds come from the instance's uniformity and realized dependency
+    degree.  ``tree_cap`` bounds the undecided items one phase-1 decision
+    may need, the item itself included (a safety valve against pathological
+    instances, reported as a failure).
     """
 
     kind: OrderingKind = field(default_factory=FullPseudorandom)
     lenient: bool = False
-    k: int | None = None
-    d: int | None = None
     tree_cap: int = DEFAULT_TREE_CAP
-    brute_force_trials: int = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -206,11 +204,9 @@ class QueryState:
         self.params = params
         if params.tree_cap < 1:
             raise ValueError("tree_cap must be >= 1")
-        k = params.k if params.k is not None else view.k
-        d = params.d if params.d is not None else view.dep
-        self.d = d
+        self.d = d = view.dep
         if view.n > 0:
-            self.thresholds = compute_thresholds(k, d, params.lenient)
+            self.thresholds = compute_thresholds(view.k, d, params.lenient)
             self.rounds = ilog2ceil(view.n)
             self.loglog = ilog2ceil(self.rounds)
             self.comp1_bound = max(1, 4 * d**3) * ilog2ceil(view.n)
@@ -253,30 +249,13 @@ class QueryState:
     # -- phase 1: rank-ordered local decisions --------------------------------
 
     def _ensure(self, x: int) -> None:
-        """Decide (color or save) x, first deciding every item its scans read.
-
-        Those items rank strictly lower than the item whose scan reads them,
-        so an explicit stack decides them with no cycle and no recursion.
-        Needing more than ``tree_cap`` undecided items, x included, fails
-        the query; they all lie in x's decreasing-rank closure.
-        """
-        if x in self.color1 or x in self.saved1:
-            return
+        """Decide (color or save) x, first deciding every item its scans read;
+        needing more than ``tree_cap`` undecided items, x included, fails."""
         cap = self.params.tree_cap
-        stack = [x]
-        fresh = 1  # undecided items this decision has needed
-        while stack:
-            w = self._process(stack[-1])
-            if w is None:
-                stack.pop()
-            elif fresh == cap:
-                raise ColoringFailure(
-                    "tree_cap",
-                    f"deciding item {x} needs more than {cap} undecided items",
-                )
-            else:
-                fresh += 1
-                stack.append(w)
+        if not (x in self.color1 or x in self.saved1 or _decide(x, self._process, cap)):
+            raise ColoringFailure(
+                "tree_cap", f"deciding item {x} needs more than {cap} undecided items"
+            )
 
     def _process(self, u: int) -> int | None:
         """Decide u, or return an undecided item a scan reads, to decide first.
@@ -489,8 +468,7 @@ class QueryState:
         items = sorted(
             {w for c in edges for w in self._items_of(c) if w not in self.final}
         )
-        total = 1 << len(items) if len(items) < 63 else self.params.brute_force_trials
-        trials = min(total, self.params.brute_force_trials)
+        trials = min(1 << len(items), BRUTE_FORCE_TRIALS)
         for mask in range(trials):
             extra = {v: (mask >> j) & 1 for j, v in enumerate(items)}
             value_of = lambda w: self.final.get(w, extra.get(w))  # noqa: E731

@@ -1,66 +1,71 @@
 """Generic online-to-local evaluation engine.
 
 A rule is any pure callable ``rule(vertex, x, deps) -> output`` where ``x``
-is the vertex's static input and ``deps`` lists ``(neighbor, output)`` pairs
-for the lower-ranked neighbors, ascending by rank.  Purity is what makes
-answers independent of query order.
+is the vertex's static input and ``deps`` is a read-only sequence of
+``(neighbor, output)`` pairs for the lower-ranked neighbors, ascending by
+rank.  Purity is what makes answers independent of query order.  A rule
+must let any exception raised while it reads ``deps`` propagate.
 
-``eval_local`` answers one vertex by exploring its relevant set and replaying
-the rule bottom-up; ``eval_global`` is the oracle that runs the whole arrival
-sequence.  Whenever the local run does not truncate, the two agree exactly.
+``eval_local`` decides a vertex on demand: a dependency the rule reads
+undecided is decided first, then the rule runs again, so a query decides
+only what its rules read.  ``eval_global`` is the oracle that runs the whole
+arrival sequence.  Whenever the local run does not truncate, they agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
-from .exploration import TruncationError, _closure
+from .exploration import TruncationError, _decide
 from .graphs import LocalGraph
 from .ranks import FullPseudorandom, OrderingKind, Seed, rank_key_fn
 
-Rule = Callable[[int, Any, list[tuple[int, Any]]], Any]
+Rule = Callable[[int, Any, Sequence[tuple[int, Any]]], Any]
 
 
 @dataclass
 class EvalTrace:
+    """Outputs of the decided vertices, in ``evaluation_order`` (decision
+    order for ``eval_local``, rank order for ``eval_global``), and
+    ``probes``, the vertices whose neighbor lists were read."""
+
     outputs: dict[int, Any]
     evaluation_order: list[int]
     probes: int
 
 
-class _LazyDeps:
-    """Dependency list that materializes on first access.
+class _Undecided(Exception):
+    """A rule read the output of a vertex that is not decided yet."""
 
-    A rule that never touches its dependencies never forces the evaluation
-    of the rest of the relevant set, so its trace stays a single entry.
-    """
+    def __init__(self, v: int):
+        self.v = v
 
-    __slots__ = ("_force", "_items")
 
-    def __init__(self, force: Callable[[], list]):
-        self._force = force
-        self._items = None
+class _Deps:
+    """``(neighbor, output)`` pairs; reading an undecided one raises _Undecided."""
 
-    def _get(self) -> list:
-        if self._items is None:
-            self._items = self._force()
-        return self._items
+    __slots__ = ("_ids", "_outputs")
+
+    def __init__(self, ids: list[int], outputs: dict[int, Any]):
+        self._ids = ids
+        self._outputs = outputs
+
+    def _pair(self, w: int) -> tuple[int, Any]:
+        if w not in self._outputs:
+            raise _Undecided(w)
+        return w, self._outputs[w]
 
     def __len__(self):
-        return len(self._get())
+        return len(self._ids)
 
     def __iter__(self):
-        return iter(self._get())
+        return map(self._pair, self._ids)
 
     def __getitem__(self, i):
-        return self._get()[i]
-
-    def __eq__(self, other):
-        return list(self._get()) == list(other)
-
-    def __repr__(self):
-        return repr(self._get())
+        if isinstance(i, slice):
+            return [self._pair(w) for w in self._ids[i]]
+        return self._pair(self._ids[i])
 
 
 def _input_fn(inputs) -> Callable[[int], Any]:
@@ -81,37 +86,39 @@ def eval_local(
     inputs=None,
     rank_map: Callable[[int], tuple[int, int]] | None = None,
 ) -> tuple[Any, EvalTrace]:
-    """Output of the online rule at v0, computed from its relevant set only.
+    """Output of the online rule at v0, deciding only what its rules read.
 
-    Raises :class:`TruncationError` (with probe statistics) if the relevant
-    set exceeds ``cap``; the caller owns the fallback policy.
+    Raises :class:`TruncationError` (with probe statistics) if that needs
+    more than ``cap`` undecided vertices, v0 included; they all lie in v0's
+    relevant set.  The caller owns the fallback policy.
     """
     if not 0 <= v0 < g.n:
         raise ValueError(f"vertex {v0} out of range for n={g.n}")
     key_of = rank_map if rank_map is not None else rank_key_fn(seed, kind, g.n)
-    order, keys, lower, probes, truncated = _closure(g.neighbors, v0, key_of, cap)
-    if truncated:
-        raise TruncationError(
-            f"relevant set of vertex {v0} exceeded cap {cap}",
-            probes=probes,
-            size=len(order),
-        )
+    lower: dict[int, list[int]] = {}  # v's lower neighbors, ascending by rank
     x_of = _input_fn(inputs)
     outputs: dict[int, Any] = {}
+    order: list[int] = []
 
-    def force_root_deps() -> list:
-        # every non-root member outranks nothing above v0, so ascending
-        # order evaluates all of v0's transitive dependencies first
-        for v in order:
-            if v == v0:
-                break
-            deps = [(w, outputs[w]) for w in sorted(lower[v], key=keys.__getitem__)]
-            outputs[v] = rule(v, x_of(v), deps)
-        return [(w, outputs[w]) for w in sorted(lower[v0], key=keys.__getitem__)]
+    def step(v: int) -> int | None:
+        ids = lower.get(v)
+        if ids is None:
+            kv = key_of(v)
+            ids = lower[v] = sorted((w for w in g.neighbors(v) if key_of(w) < kv), key=key_of)
+        try:
+            outputs[v] = rule(v, x_of(v), _Deps(ids, outputs))
+        except _Undecided as exc:
+            return exc.v
+        order.append(v)
+        return None
 
-    outputs[v0] = rule(v0, x_of(v0), _LazyDeps(force_root_deps))
-    evaluated = [v for v in order if v in outputs]
-    return outputs[v0], EvalTrace(outputs, evaluated, probes)
+    if not _decide(v0, step, cap):
+        raise TruncationError(
+            f"deciding vertex {v0} needs more than {cap} undecided vertices",
+            probes=len(lower),
+            size=len(lower),
+        )
+    return outputs[v0], EvalTrace(outputs, order, len(lower))
 
 
 def eval_global(

@@ -6,12 +6,14 @@ neighbor whose rank is lower than the rank of an item already in the set.
 A vertex enters the set once (via its first successful discovery), but every
 set member gets a full neighbor scan, so the set is closed: each member's
 lower-ranked neighbors are all members.  That closure property is what makes
-bottom-up replay exact.
+bottom-up replay exact.  ``_decide`` instead decides a root on demand,
+deciding first only the lower-ranked items its online rule reads.
 
 Every query reports ``probes``, a count of adjacency-oracle lookups whose
 unit depends on the algorithm:
 
-* ``explore`` and ``engine.eval_local``: one per walk dequeue;
+* ``explore``: one per walk dequeue;
+* ``engine.eval_local``: one per vertex whose neighbor list it reads;
 * matching: two per dequeue, one scan of each endpoint's neighbor list;
 * balls-into-bins: one choice-list lookup per dequeued ball plus one
   chooser-list lookup per bin it scans;
@@ -71,9 +73,6 @@ class RelevantSet:
     probes: int
     truncated: bool
 
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.members)
-
     @property
     def size(self) -> int:
         return len(self.members)
@@ -122,6 +121,29 @@ def _closure(
         lower[v] = lows
     order = sorted(members, key=keys.__getitem__)
     return order, keys, lower, probes, truncated
+
+
+def _decide(root: int, step: Callable[[int], int | None], cap: int) -> bool:
+    """Decide root on an explicit stack; False if it needs over ``cap`` items.
+
+    ``step(v)`` either decides v and returns None, or returns a lower-ranked
+    undecided item to decide first.  The stack descends in rank, so each
+    push is a new undecided item of the root's decreasing-rank closure.
+    """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    stack = [root]
+    fresh = 1  # undecided items this decision has needed
+    while stack:
+        w = step(stack[-1])
+        if w is None:
+            stack.pop()
+        elif fresh == cap:
+            return False
+        else:
+            fresh += 1
+            stack.append(w)
+    return True
 
 
 def explore(
@@ -263,8 +285,9 @@ class TreeStatsSpec:
     """One exploration experiment: generator, size, and query counts.
 
     ``trials = instances * queries_per_instance``; each query explores from a
-    seeded random root under a fresh derived ordering, so trials are
-    independent (instance, root) pairs.
+    seeded random root under a fresh derived full-pseudorandom ordering, so
+    trials are independent (instance, root) pairs.  Tail thresholds are the
+    caller's, applied to the sizes with :func:`stats_from_sizes`.
     """
 
     generator: str  # "bounded" | "binomial"
@@ -273,8 +296,6 @@ class TreeStatsSpec:
     instances: int = 10
     queries_per_instance: int = 1000
     cap: int = 1 << 14
-    kind: OrderingKind = FullPseudorandom()
-    thresholds: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -339,7 +360,7 @@ def _instance_sizes(spec: TreeStatsSpec, seed: Seed, i: int) -> tuple[list[int],
     truncated = 0
     for q, root in enumerate(roots._randranges([g.n] * spec.queries_per_instance)):
         oseed = derive_subseed(seed, b"order:%d:%d" % (i, q))
-        rs = explore(g, root, oseed, spec.kind, spec.cap)
+        rs = explore(g, root, oseed, cap=spec.cap)
         sizes.append(rs.size)
         truncated += rs.truncated
     return sizes, truncated
@@ -359,9 +380,10 @@ def explore_sizes(spec: TreeStatsSpec, seed: Seed) -> tuple[list[int], int]:
 
 
 def tree_stats(spec: TreeStatsSpec, seed: Seed) -> TreeStats:
-    """Run a full exploration experiment and aggregate the histogram."""
+    """Run a full exploration experiment and aggregate the histogram (with
+    no tail thresholds)."""
     sizes, truncated = explore_sizes(spec, seed)
-    return stats_from_sizes(sizes, spec.thresholds, truncated)
+    return stats_from_sizes(sizes, truncated=truncated)
 
 
 def lower_bound_experiment(path_len: int, trials: int, seed: Seed) -> float:

@@ -53,12 +53,13 @@ class Seed:
             raise ValueError("ensemble_index must be non-negative")
 
     @classmethod
-    def from_hex(cls, text: str, ensemble_index: int = 0) -> "Seed":
-        """Parse a seed from 64 hex characters (the CLI wire format)."""
+    def from_hex(cls, text: str) -> "Seed":
+        """Parse an ensemble-0 seed from 64 hex characters (the CLI wire
+        format); :meth:`with_ensemble` selects another ensemble."""
         key = bytes.fromhex(text.strip())
         if len(key) != 32:
             raise ValueError("seed must be 64 hex characters (32 bytes)")
-        return cls(key, ensemble_index)
+        return cls(key)
 
     def hex(self) -> str:
         return self.master_key.hex()

@@ -179,6 +179,16 @@ class TestExitCodes:
         assert flag in result.output
         assert "Traceback" not in result.output
 
+    def test_out_in_missing_directory_is_usage_error(self, runner, tmp_path):
+        out = tmp_path / "missing" / "report.json"
+        result = runner.invoke(
+            main, ["--seed", SEED_HEX, "--out", str(out), "lower-bound", "--trials", "10"]
+        )
+        assert result.exit_code == 2, result.output
+        assert "--out" in result.output
+        assert "Traceback" not in result.output
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["matching", "coloring", "ksat", "balls-bins"])
     def test_negative_failure_budget_is_usage_error(self, runner, command):
         result = runner.invoke(main, ["--seed", SEED_HEX, command, "--failure-budget", "-0.5"])

@@ -1,9 +1,18 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lcakit.engine import eval_global, eval_local
-from lcakit.exploration import TruncationError
+from lcakit.engine import _Deps, _Undecided, eval_global, eval_local
+from lcakit.exploration import TruncationError, explore
 from lcakit.graphs import LocalGraph, gen_binomial, gen_bounded_degree, line_graph
-from lcakit.ranks import FullPseudorandom, Seed, derive_subseed, rank_key_fn
+from lcakit.ranks import (
+    FullPseudorandom,
+    KWiseIndependent,
+    Seed,
+    derive_subseed,
+    next_prime,
+    rank_key_fn,
+)
 
 SEED = Seed.from_hex("5eed" * 16)
 
@@ -15,6 +24,17 @@ def chain_rule(v, x, deps):
 
 def greedy_rule(v, x, deps):
     return not any(o for _, o in deps)
+
+
+def input_rule(v, x, deps):
+    return x
+
+
+def sequence_rule(v, x, deps):
+    """Reads deps through len, truthiness, iteration and both index kinds."""
+    if not deps:
+        return (0, None, ())
+    return (len(deps), deps[-1][0], tuple(w for w, _ in deps[:2]), sum(o[0] for _, o in deps))
 
 
 class TestEvalLocal:
@@ -61,6 +81,78 @@ class TestEvalLocal:
                     trace = eval_global(g, rule, rseed)
                     for v in range(g.n):
                         assert eval_local(g, v, rule, rseed)[0] == trace.outputs[v]
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.integers(2, 10),
+        st.integers(1, 4),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_capped_answers_equal_uncapped(self, tag, n, d, binomial, kwise):
+        gseed = derive_subseed(SEED, b"cap:%d" % tag)
+        if binomial:
+            g = gen_binomial(gseed, n, min(d, n - 1))
+        else:
+            g = gen_bounded_degree(gseed, n, d)
+        rseed = derive_subseed(SEED, b"capr:%d" % tag)
+        kind = KWiseIndependent(4, next_prime(n + 1)) if kwise else FullPseudorandom()
+        inputs = {v: v % 3 for v in range(n)}
+        for rule in (chain_rule, greedy_rule, input_rule):
+            want = eval_global(g, rule, rseed, kind, inputs=inputs).outputs
+            for v in range(n):
+                closure = explore(g, v, rseed, kind).size
+                assert eval_local(g, v, rule, rseed, kind, inputs=inputs)[0] == want[v]
+                for cap in range(1, closure + 1):
+                    try:
+                        out, _ = eval_local(g, v, rule, rseed, kind, cap, inputs)
+                    except TruncationError:
+                        assert cap < closure
+                        continue
+                    assert out == want[v]
+
+    def test_sequence_rule_equals_global(self):
+        g = gen_bounded_degree(SEED, 40, 5)
+        want = eval_global(g, sequence_rule, SEED).outputs
+        for v in range(g.n):
+            assert eval_local(g, v, sequence_rule, SEED)[0] == want[v]
+
+    def test_greedy_decides_within_closure(self):
+        g = gen_bounded_degree(SEED, 60, 4)
+        lg, _ = line_graph(g)
+        fewer = 0
+        for i in range(lg.n):
+            _, trace = eval_local(lg, i, greedy_rule, SEED)
+            closure = {w for w, _ in explore(lg, i, SEED).members}
+            assert set(trace.evaluation_order) <= closure
+            assert trace.probes == len(trace.evaluation_order) == len(trace.outputs)
+            assert trace.evaluation_order[-1] == i
+            fewer += len(trace.evaluation_order) < len(closure)
+        assert fewer > 0
+
+    def test_cap_below_one_is_rejected(self):
+        with pytest.raises(ValueError):
+            eval_local(LocalGraph.from_edges(2, [(0, 1)]), 0, chain_rule, SEED, cap=0)
+
+
+class TestDeps:
+    def test_sequence_behaviour(self):
+        deps = _Deps([3, 1, 2], {1: "b", 2: "c", 3: "a"})
+        assert len(deps) == 3 and deps
+        assert list(deps) == [(3, "a"), (1, "b"), (2, "c")]
+        assert deps[0] == (3, "a") and deps[-1] == (2, "c")
+        assert deps[1:] == [(1, "b"), (2, "c")] and deps[::-2] == [(2, "c"), (3, "a")]
+        assert not _Deps([], {}) and list(_Deps([], {})) == []
+
+    def test_reading_an_undecided_entry_names_it(self):
+        deps = _Deps([3, 1], {3: None})
+        assert deps[0] == (3, None)
+        for read in (lambda: deps[1], lambda: deps[-1], lambda: deps[:], lambda: list(deps)):
+            with pytest.raises(_Undecided) as exc:
+                read()
+            assert exc.value.v == 1
 
 
 class TestEvalGlobal:

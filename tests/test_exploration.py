@@ -56,7 +56,7 @@ class TestExplore:
     def test_isolated_root(self):
         g = LocalGraph.from_edges(3, [(1, 2)])
         rs = explore(g, 0, SEED)
-        assert rs.vertices() == (0,)
+        assert tuple(v for v, _ in rs.members) == (0,)
         assert not rs.truncated
         assert rs.probes == 1
 
@@ -64,8 +64,8 @@ class TestExplore:
         g = LocalGraph.from_edges(2, [(0, 1)])
         key_of = rank_key_fn(SEED, FullPseudorandom(), 2)
         lo, hi = sorted((0, 1), key=key_of)
-        assert explore(g, hi, SEED).vertices() == tuple(sorted((lo, hi)))
-        assert explore(g, lo, SEED).vertices() == (lo,)
+        assert tuple(v for v, _ in explore(g, hi, SEED).members) == tuple(sorted((lo, hi)))
+        assert tuple(v for v, _ in explore(g, lo, SEED).members) == (lo,)
 
     def test_descending_path_includes_everything(self):
         # find a seed whose ranks strictly decrease along a 3-path
@@ -75,7 +75,7 @@ class TestExplore:
             key_of = rank_key_fn(s, FullPseudorandom(), 3)
             if key_of(0) > key_of(1) > key_of(2):
                 rs = explore(g, 0, s)
-                assert set(rs.vertices()) == {0, 1, 2}
+                assert {v for v, _ in rs.members} == {0, 1, 2}
                 return
         pytest.fail("no witness seed found")
 
@@ -87,7 +87,7 @@ class TestExplore:
         key_of = rank_key_fn(s, FullPseudorandom(), n)
         for root in range(g.n):
             rs = explore(g, root, s)
-            assert set(rs.vertices()) == closure_oracle(g, root, key_of)
+            assert {v for v, _ in rs.members} == closure_oracle(g, root, key_of)
 
     def test_members_sorted_ascending_by_rank(self):
         g = gen_bounded_degree(SEED, 50, 4)
@@ -116,9 +116,9 @@ class TestExplore:
                 continue
             small = explore(g, root, SEED, cap=2)
             assert small.truncated
-            assert set(small.vertices()) <= set(full.vertices())
+            assert {v for v, _ in small.members} <= {v for v, _ in full.members}
             bigger = explore(g, root, SEED, cap=full.size)
-            assert set(small.vertices()) <= set(bigger.vertices())
+            assert {v for v, _ in small.members} <= {v for v, _ in bigger.members}
 
     def test_determinism(self):
         g = gen_bounded_degree(SEED, 100, 4)
@@ -132,7 +132,7 @@ class TestExplore:
         key_of = rank_key_fn(SEED, kind, 30)
         for root in range(0, 30, 5):
             rs = explore(g, root, SEED, kind)
-            assert set(rs.vertices()) == closure_oracle(g, root, key_of)
+            assert {v for v, _ in rs.members} == closure_oracle(g, root, key_of)
 
     def test_root_out_of_range(self):
         with pytest.raises(ValueError):
