@@ -331,6 +331,11 @@ REPORT_CASES = {
                                      "--n", "200", "--m", "200", "--d", "2",
                                      "--trials", "2"], 0),
     "matching": (["matching", "--n", "60", "--d", "3", "--trials", "2"], 0),
+    "matching-edge": (["matching", "--n", "60", "--d", "3", "--edge", "0,29"], 0),
+    "tree-stats": (["tree-stats", "--n", "64", "--d", "3", "--instances", "2",
+                    "--queries", "30", "--thresholds", "4,8"], 0),
+    "lower-bound": (["lower-bound", "--path-len", "3", "--trials", "500"], 0),
+    "gw-sim": (["gw-sim", "--trials", "200"], 0),
     "accept-9": (["accept", "--only", "9"], 0),
 }
 
@@ -449,6 +454,38 @@ REPORT_DIGESTS = {
     ('matching', 'csv'): (
         "26eee5bcc97e930d6924304d3d28a0e4b0448e3d9e42de971a7b4892e9bad244",
         "346634b6511011f2d35ddcf1445e63f6d70dd9f8f1c0bb4d3a9349e34cb5bc08",
+    ),
+    ('matching-edge', 'json'): (
+        "a555fc70055c8bba35a2380aff1452e4b62978544319755035a8e1d6ceef7994",
+        "c721fdb5e47121e97fbf0838dd91ccde6d2d5ba8ed8f472edba261e01d6d610a",
+    ),
+    ('matching-edge', 'csv'): (
+        "fb77969e57f1bacf65b4e7bab08479f0319917338060b5c3c0800d42ffbff077",
+        "1cdf0de2657c0afc751f0d7c64ecf7692cc7aaf1f5643ec10592ed667039c596",
+    ),
+    ('tree-stats', 'json'): (
+        "2101b31fae6990660a7e56954463c63cbb52d08b885c95f77701b562592aee2f",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ),
+    ('tree-stats', 'csv'): (
+        "9c04fafe9f401b05f7e600d0f07fc0007300ed9dd78969bd5d61ff6b80252226",
+        "cff6369ac3b08a7046108c46a8fff1601233ca9aecb4cfeb935d31430a833243",
+    ),
+    ('lower-bound', 'json'): (
+        "125ba86d999d8ff81e64ecb0b011862464cb87c6e0a870674f1076497a91b002",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ),
+    ('lower-bound', 'csv'): (
+        "de0991fd118c0f483cc0de6f8da1d5eb29d549257a1dce0e43d2f54f6c31ed5b",
+        "a683096011db3975a1e401e33b0047d1f2677a11efe85ef12806f016ae039795",
+    ),
+    ('gw-sim', 'json'): (
+        "9344829238f528c312fa74a7e896d14b94599774b1379229eb024a1bc49a3cb4",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ),
+    ('gw-sim', 'csv'): (
+        "2be8e6b1355b7f21d203ed2f07d806c395f49481119da4b62a09bc85f84e84ed",
+        "4eceefa0f0e7565299ba813c54185b911ea8ef467cf845412934db3750257e70",
     ),
     ('accept-9', 'json'): (
         "cafc117113b83aacdfbc336e9bccfca9ef89bff03b0b7e6cb9703bb3b9658151",
