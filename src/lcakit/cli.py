@@ -557,6 +557,8 @@ def _capacities(scheme: str, n: int, m: int, path: str | None = None) -> list[in
     evenly as possible over ``m`` bins.
     """
     if scheme != "capacity":
+        if path is not None:
+            raise click.BadParameter("only the capacity rule reads it", param_hint="'--capacities'")
         return None
     if path is None:
         base, extra = divmod(n, m)
@@ -574,8 +576,12 @@ def _capacities(scheme: str, n: int, m: int, path: str | None = None) -> list[in
                 "every non-blank line must be one integer", param_hint="'--capacities'"
             ) from None
     if any(c <= 0 for c in caps):
+        raise click.BadParameter("every capacity must be positive", param_hint="'--capacities'")
+    if len(caps) != m or sum(caps) != n:
         raise click.BadParameter(
-            "every capacity must be positive", param_hint="'--capacities'"
+            f"need --m {m} capacities that sum to --n {n}, "
+            f"not {len(caps)} that sum to {sum(caps)}",
+            param_hint="'--capacities'",
         )
     return caps
 

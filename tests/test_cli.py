@@ -179,6 +179,26 @@ class TestExitCodes:
         assert flag in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize(
+        "rule,lines",
+        [
+            ("capacity", ["5", "5"]),  # fewer lines than --m bins
+            ("capacity", ["1"] * 5),  # sums to 5, not --n 10
+            ("least-loaded", ["2"] * 5),  # a rule that reads no capacities
+        ],
+    )
+    def test_capacities_that_do_not_fit_are_usage_errors(self, runner, tmp_path, rule, lines):
+        caps = tmp_path / "caps.txt"
+        caps.write_text("".join(line + "\n" for line in lines))
+        result = runner.invoke(
+            main,
+            ["--seed", SEED_HEX, "balls-bins", "--n", "10", "--m", "5",
+             "--rule", rule, "--capacities", str(caps)],
+        )
+        assert result.exit_code == 2, result.output
+        assert "--capacities" in result.output
+        assert "Traceback" not in result.output
+
     def test_out_in_missing_directory_is_usage_error(self, runner, tmp_path):
         out = tmp_path / "missing" / "report.json"
         result = runner.invoke(
