@@ -205,7 +205,6 @@ def assign_query(
     kind: OrderingKind = FullPseudorandom(),
     cap: int | None = None,
     _key_of=None,
-    _validate: bool = True,
 ) -> Assignment:
     """Bin of one ball, identical to the global run unless the query fails.
 
@@ -213,8 +212,7 @@ def assign_query(
     non-positive cap) the result is marked ``failed`` and the bin is a
     seed-derived uniform pick among the ball's own choices.
     """
-    if _validate:
-        rule.validate(bc)
+    rule.validate(bc)
     if cap is None:
         cap = default_cap(bc.m_bins)
     if cap < 1:
@@ -232,7 +230,7 @@ def assign_query(
             probes += 1  # choosers_of lookup
             yield from bc.choosers_of(u)
 
-    order, _, _, _, truncated = _closure(conflicts, ball, key_of, cap)
+    order, _, truncated = _closure(conflicts, ball, key_of, cap)
     if truncated:
         return Assignment(ball, _fallback_bin(bc, ball, seed), failed=True, probes=probes)
     loads: dict[int, int] = {}
@@ -294,7 +292,7 @@ def assign_all(
             if len(members) <= cap:
                 closure = tuple(members)
         if closure is None:
-            out[b] = assign_query(bc, b, rule, seed, kind, cap, _key_of=key_of, _validate=False)
+            out[b] = assign_query(bc, b, rule, seed, kind, cap, _key_of=key_of)
         else:
             out[b] = Assignment(b, u, failed=False, probes=per_member * len(closure))
         for v in choices:

@@ -131,16 +131,13 @@ def eval_global(
 ) -> EvalTrace:
     """Run the online rule over the full arrival order (the oracle)."""
     key_of = rank_map if rank_map is not None else rank_key_fn(seed, kind, g.n)
-    keys = {v: key_of(v) for v in range(g.n)}
-    order = sorted(range(g.n), key=keys.__getitem__)
+    order = sorted(range(g.n), key=key_of)
     x_of = _input_fn(inputs)
     outputs: dict[int, Any] = {}
     probes = 0
     for v in order:
         probes += 1
-        kv = keys[v]
-        deps = sorted(
-            (w for w in g.neighbors(v) if keys[w] < kv), key=keys.__getitem__
-        )
+        kv = key_of(v)
+        deps = sorted((w for w in g.neighbors(v) if key_of(w) < kv), key=key_of)
         outputs[v] = rule(v, x_of(v), [(w, outputs[w]) for w in deps])
     return EvalTrace(outputs, order, probes)

@@ -86,41 +86,31 @@ def _closure(
 ):
     """BFS decreasing-rank closure.
 
-    Returns (order, keys, lower, probes, truncated) where ``order`` lists
-    members ascending by rank, ``keys`` caches rank keys for every scanned
-    item, and ``lower[v]`` lists v's lower-ranked neighbors (complete for
-    every dequeued member).  A neighbor rejected from one parent may still
-    join later via a higher-ranked parent; rejection is never memorized.
+    Returns (order, probes, truncated) where ``order`` lists members
+    ascending by rank, so the root comes last.  An item is keyed again at
+    each comparison and in the sort, so ``key_of`` must cache, as the
+    functions of :func:`~lcakit.ranks.rank_key_fn` do.  A neighbor rejected
+    from one parent may still join later via a higher-ranked parent;
+    rejection is never memorized.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    keys: dict[int, tuple[int, int]] = {root: key_of(root)}
     members = {root}
-    lower: dict[int, list[int]] = {}
     queue = deque([root])
     probes = 0
     truncated = False
     while queue and not truncated:
         v = queue.popleft()
-        kv = keys[v]
+        kv = key_of(v)
         probes += 1
-        lows: list[int] = []
         for w in adj(v):
-            kw = keys.get(w)
-            if kw is None:
-                kw = key_of(w)
-                keys[w] = kw
-            if kw < kv:
-                lows.append(w)
-                if w not in members:
-                    if len(members) >= cap:
-                        truncated = True
-                        break
-                    members.add(w)
-                    queue.append(w)
-        lower[v] = lows
-    order = sorted(members, key=keys.__getitem__)
-    return order, keys, lower, probes, truncated
+            if w not in members and key_of(w) < kv:
+                if len(members) >= cap:
+                    truncated = True
+                    break
+                members.add(w)
+                queue.append(w)
+    return sorted(members, key=key_of), probes, truncated
 
 
 def _decide(root: int, step: Callable[[int], int | None], cap: int) -> bool:
@@ -157,13 +147,14 @@ def explore(
 
     A neighbor w of a set member p joins iff rank(w) < rank(p).  Exploration
     stops, with ``truncated=True``, as soon as the member count would exceed
-    ``cap``; truncation is a reported value, never an exception.
+    ``cap``; truncation is a reported value, never an exception.  Each
+    member's ``Rank`` is read back from the walk's cached key function.
     """
     if not 0 <= root < g.n:
         raise ValueError(f"root {root} out of range for n={g.n}")
     key_of = rank_key_fn(seed, kind, g.n)
-    order, keys, _, probes, truncated = _closure(g.neighbors, root, key_of, cap)
-    members = tuple((v, Rank(*keys[v])) for v in order)
+    order, probes, truncated = _closure(g.neighbors, root, key_of, cap)
+    members = tuple((v, Rank(*key_of(v))) for v in order)
     return RelevantSet(root, members, probes, truncated)
 
 

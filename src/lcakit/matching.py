@@ -2,14 +2,15 @@
 
 Edges arrive in a seeded random order; greedy adds an edge iff none of its
 neighbors was added before it.  A per-edge query (:func:`is_matched`)
-explores the decreasing-rank closure over edge adjacency and replays greedy
-inside it, which reproduces the global verdict exactly and reports what the
-walk cost.  The batch (:func:`full_matching`) decides every edge once
-instead: an edge is matched iff none of its lower-ranked neighbors is, so it
-checks them in ascending rank, stops at the first matched one, and keeps
-every verdict in one memo shared by the whole batch.  It ranks every edge
-once, up front, and finds an edge's lower-ranked neighbors by comparing rank
-keys in per-vertex lists.  Edge ranks derive from the packed edge id
+explores the decreasing-rank closure over edge adjacency and runs greedy on
+it in ascending rank, tracking only which vertices are covered; that
+reproduces the global verdict exactly and reports what the walk cost.  The
+batch (:func:`full_matching`) decides every edge once instead: an edge is
+matched iff none of its lower-ranked neighbors is, so it checks them in
+ascending rank, stops at the first matched one, and keeps every verdict in
+one memo shared by the whole batch.  It ranks every edge once, up front,
+and finds an edge's lower-ranked neighbors by comparing rank keys in
+per-vertex lists.  Edge ranks derive from the packed edge id
 ``min * n + max`` over a universe of n*n ids, so they are independent of the
 endpoint ranks and of how the edge was reached.  Both paths run over those
 packed ids, the same integers the ranks hash; edge tuples appear only at the
@@ -76,9 +77,12 @@ def is_matched(
     """Whether edge e is in the greedy matching under this seed.
 
     Explores the closure of e over edge adjacency (a neighbor edge f joins
-    iff rank(f) < rank of the edge that scanned it), then replays greedy in
-    ascending rank order within the closure.  Exceeding ``cap`` raises
-    :class:`TruncationError`: a counted failure, never a wrong answer.
+    iff rank(f) < rank of the edge that scanned it), then runs greedy over
+    the closure in ascending rank, keeping only the covered vertices: an
+    edge is taken iff neither endpoint is covered yet.  That is exact,
+    because the closure holds every lower-ranked neighbor of each member,
+    and e comes last.  Exceeding ``cap`` raises :class:`TruncationError`: a
+    counted failure, never a wrong answer.
     """
     e = canonical_edge(*e)
     if e[1] not in g.neighbors(e[0]):
@@ -86,7 +90,7 @@ def is_matched(
     n = g.n
     key_of = _key_of if _key_of is not None else rank_key_fn(seed, kind, n * n)
     root = e[0] * n + e[1]
-    order, _, lower, scans, truncated = _closure(_packed_adjacency(g), root, key_of, cap)
+    order, scans, truncated = _closure(_packed_adjacency(g), root, key_of, cap)
     probes = 2 * scans  # each adjacency scan reads both endpoint neighbor lists
     if truncated:
         raise TruncationError(
@@ -94,10 +98,12 @@ def is_matched(
             probes=probes,
             size=len(order),
         )
-    matched: dict[int, bool] = {}
-    for f in order:
-        matched[f] = not any(matched[x] for x in lower[f])
-    return MatchVerdict(matched[root], probes=probes, edges_evaluated=len(order))
+    covered: set[int] = set()
+    for f in order:  # ascending rank; the root is last, so its verdict is kept
+        u, v = divmod(f, n)
+        if matched := u not in covered and v not in covered:
+            covered.update((u, v))
+    return MatchVerdict(matched, probes=probes, edges_evaluated=len(order))
 
 
 def all_verdicts(
