@@ -78,11 +78,10 @@ def is_matched(
 
     Explores the closure of e over edge adjacency (a neighbor edge f joins
     iff rank(f) < rank of the edge that scanned it), then runs greedy over
-    the closure in ascending rank, keeping only the covered vertices: an
-    edge is taken iff neither endpoint is covered yet.  That is exact,
-    because the closure holds every lower-ranked neighbor of each member,
-    and e comes last.  Exceeding ``cap`` raises :class:`TruncationError`: a
-    counted failure, never a wrong answer.
+    it in ascending rank by covered vertices.  That is exact: the closure
+    holds every lower-ranked neighbor of each member, and e comes last.
+    Exceeding ``cap`` raises :class:`TruncationError`: a counted failure,
+    never a wrong answer.
     """
     e = canonical_edge(*e)
     if e[1] not in g.neighbors(e[0]):
