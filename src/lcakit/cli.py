@@ -388,8 +388,8 @@ def matching_cmd(ctx, n, d, cap, edge, trials, ordering, kwise_k, failure_budget
                 raise click.UsageError("--edge must be 'u,v'")
             try:
                 verdict = matching.is_matched(g, (u, v), rseed, kind, cap)
-            except ValueError as exc:
-                raise click.UsageError(str(exc))
+            except ValueError as exc:  # each trial generates its own graph
+                raise click.UsageError(f"--edge in trial {t}: {exc}")
             except exploration.TruncationError:
                 failures += 1
                 continue

@@ -8,9 +8,10 @@ reproduces the global verdict exactly and reports what the walk cost.  The
 batch (:func:`full_matching`) decides every edge once instead: an edge is
 matched iff none of its lower-ranked neighbors is, so it checks them in
 ascending rank, stops at the first matched one, and keeps every verdict in
-one memo shared by the whole batch.  It ranks every edge once, up front,
-and finds an edge's lower-ranked neighbors by comparing rank keys in
-per-vertex lists.  Edge ranks derive from the packed edge id
+one memo shared by the whole batch.  It ranks all edges in one bulk call,
+keys each edge by one integer that orders as its rank does, and finds an
+edge's lower-ranked neighbors as prefixes of sorted per-vertex key lists.
+Edge ranks derive from the packed edge id
 ``min * n + max`` over a universe of n*n ids, so they are independent of the
 endpoint ranks and of how the edge was reached.  Both paths run over those
 packed ids, the same integers the ranks hash; edge tuples appear only at the
@@ -19,12 +20,13 @@ public boundary.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .exploration import TruncationError, _closure
 from .graphs import LocalGraph
-from .ranks import FullPseudorandom, OrderingKind, Seed, rank_key_fn
+from .ranks import FullPseudorandom, OrderingKind, Seed, rank_key_fn, rank_values
 
 Edge = tuple[int, int]
 
@@ -136,10 +138,11 @@ def full_matching(
 ) -> frozenset[Edge]:
     """The greedy matching, with every edge decided once.
 
-    Every edge is ranked once, up front, and each vertex keeps the rank keys
-    of its edges, so an edge's lower-ranked neighbors are the keys below its
-    own at its two endpoints, compared as tuples with no further key calls.
-    Edges are queried in ``g.edges()`` order against one verdict memo.  An
+    Every edge is ranked once, in one :func:`~lcakit.ranks.rank_values`
+    call, and keyed by the integer ``value * n*n + packed_id``, which orders
+    as ``(value, owner)`` does because every packed id is below n*n.  Each
+    vertex keeps its edges' keys sorted, so an edge's lower-ranked neighbors
+    are the two prefixes below its key at its endpoints.  Edges are queried in ``g.edges()`` order against one verdict memo.  An
     edge is matched iff none of its lower-ranked neighbors is matched; they
     are checked in ascending rank, and the check stops at the first matched
     one.  A neighbor the memo has not decided yet is decided first, on an
@@ -154,35 +157,46 @@ def full_matching(
     if cap < 1:
         raise ValueError("cap must be >= 1")
     n = g.n
-    key_of = rank_key_fn(seed, kind, n * n)
-    at: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # keys of u's edges
-    roots = []  # every edge's key, in g.edges() order
-    for u, v in g.edges():
-        k = key_of(u * n + v)
-        at[u].append(k)
-        at[v].append(k)
-        roots.append(k)
-    matched: dict[int, bool] = {}  # packed id -> verdict
+    nn = n * n
+    higher = [nbrs[bisect_right(nbrs, u) :] for u, nbrs in enumerate(g.adjacency)]
+    ids = [u * n + v for u, vs in enumerate(higher) for v in vs]  # g.edges() order
+    # value * nn + id orders as (value, id), since every packed id is below nn
+    roots = [r * nn + x for r, x in zip(rank_values(seed, kind, ids, nn), ids)]
+    at: list[list[int]] = [[] for _ in range(n)]  # keys of u's edges, ascending
+    i = 0
+    for u, vs in enumerate(higher):
+        mine = roots[i : i + len(vs)]
+        i += len(vs)
+        at[u] += mine
+        for v, k in zip(vs, mine):
+            at[v].append(k)
+    for ks in at:
+        ks.sort()
+    matched: dict[int, bool] = {}  # key -> verdict
+    get = matched.get
 
-    def lower(k: tuple[int, int]) -> list[tuple[int, int]]:
-        """Keys of k's lower-ranked neighbors, highest first, so pop() is lowest;
-        k itself is not below k, so it needs no test."""
-        u, v = divmod(k[1], n)
-        return sorted([j for j in at[u] if j < k] + [j for j in at[v] if j < k], reverse=True)
+    def lower(k: int) -> list[int]:
+        """Keys of k's lower-ranked neighbors, highest first, so pop() is lowest:
+        the keys below k at its two endpoints."""
+        a, b = at[k % nn // n], at[k % n]
+        lows = a[: bisect_left(a, k)]
+        lows += b[: bisect_left(b, k)]
+        lows.sort(reverse=True)
+        return lows
 
     for root in roots:
-        if root[1] in matched:
+        if root in matched:
             continue
         stack = [(root, lower(root))]
         fresh = 1  # undecided edges this query has needed, itself included
         while stack:
             k, lows = stack[-1]
-            while lows and matched.get(lows[-1][1]) is False:
+            while lows and get(lows[-1]) is False:
                 lows.pop()
-            if lows and lows[-1][1] not in matched:
+            if lows and lows[-1] not in matched:
                 if fresh == cap:
                     raise TruncationError(
-                        f"full matching aborted at edge {divmod(root[1], n)}: "
+                        f"full matching aborted at edge {divmod(root % nn, n)}: "
                         f"deciding it needs more than {cap} undecided edges",
                         probes=2 * fresh,  # two neighbor lists per scanned edge
                         size=fresh,
@@ -191,9 +205,9 @@ def full_matching(
                 stack.append((lows[-1], lower(lows[-1])))
                 continue
             # lows is empty (no lower neighbor matched) or ends at a matched one
-            matched[k[1]] = not lows
+            matched[k] = not lows
             stack.pop()
-    return frozenset(divmod(x, n) for x, m in matched.items() if m)
+    return frozenset(divmod(k % nn, n) for k, m in matched.items() if m)
 
 
 def greedy_by_rank(

@@ -17,6 +17,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from operator import mod
 from typing import Sequence, Union
 
@@ -393,6 +394,19 @@ def compare(a: Rank, b: Rank) -> int:
     if ka > kb:
         return 1
     raise ValueError("cannot order two identical ranks")
+
+
+def rank_values(
+    seed: Seed, kind: OrderingKind, items: Sequence[int], universe: int
+) -> list[int]:
+    """Rank value of each item, in order: ``[key_of(x)[0] for x in items]``
+    for ``key_of = rank_key_fn(seed, kind, universe)``, with no cache and no
+    tuples.  For a batch that needs each rank once; ties are the caller's to
+    break by owner id.  Full-pseudorandom values go through the module
+    global ``_rank_value``, so a wrapped one sees every hash."""
+    if isinstance(kind, FullPseudorandom):
+        return list(map(_rank_value, repeat(_rank_state(seed)), items, repeat(universe)))
+    return list(map(_kwise_value_fn(seed, kind, universe), items))
 
 
 def rank_key_fn(seed: Seed, kind: OrderingKind, universe: int):

@@ -218,6 +218,7 @@ class TestExitCodes:
 
 class TestSubcommandBehavior:
     def test_matching_single_edge_query(self, runner):
+        # (0, 1) is an edge of trial 0's graph at this seed
         report = json.loads(
             run_ok(
                 runner,
@@ -225,16 +226,30 @@ class TestSubcommandBehavior:
                  "--edge", "0,1"],
             ).stdout
         )
-        # edge (0,1) may or may not exist in the generated graph
-        assert report["results"]["trials"] == 1 or report["results"]["failures"] == 0
+        assert report["results"]["failures"] == 0
+        assert [row["trial"] for row in report["results"]["per_trial"]] == [0]
 
     def test_matching_nonexistent_edge_is_usage_error(self, runner):
+        # (0, 9) is not an edge of trial 0's graph at this seed
         result = runner.invoke(
             main,
             ["--seed", SEED_HEX, "matching", "--n", "10", "--d", "1",
              "--edge", "0,9"],
         )
-        assert result.exit_code in (0, 2)  # depends on whether the edge exists
+        assert result.exit_code == 2, result.output
+        assert "--edge in trial 0: (0, 9) is not an edge" in result.output
+        assert "Traceback" not in result.output
+
+    def test_matching_edge_is_checked_in_each_trial(self, runner):
+        # each trial generates its own graph: (0, 29) is an edge of trial 0's
+        # graph but not of trial 1's, and (1, 15) is an edge of both
+        args = ["--seed", SEED_HEX, "matching", "--n", "60", "--d", "3", "--trials", "2"]
+        result = runner.invoke(main, args + ["--edge", "0,29"])
+        assert result.exit_code == 2, result.output
+        assert "--edge in trial 1: (0, 29) is not an edge" in result.output
+        assert "Traceback" not in result.output
+        report = json.loads(run_ok(runner, args + ["--edge", "1,15"]).stdout)
+        assert [row["trial"] for row in report["results"]["per_trial"]] == [0, 1]
 
     def test_oracle_compare_reports_zero_mismatches(self, runner):
         result = run_ok(

@@ -137,8 +137,12 @@ class TestOracleEquivalence:
 
 
 class TestFullMatching:
-    def test_empty_graph(self):
-        assert full_matching(LocalGraph.from_edges(3, []), SEED) == frozenset()
+    # n*n, the packed-id universe, is 0 or 1 at n = 0 and n = 1
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_empty_graph(self, n):
+        g = LocalGraph.from_edges(n, [])
+        for kind in (FullPseudorandom(), KWiseIndependent(2, 5)):
+            assert full_matching(g, SEED, kind) == frozenset()
 
     def test_perfect_matching_input(self):
         g = LocalGraph.from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
@@ -157,9 +161,10 @@ class TestFullMatching:
         with pytest.raises(TruncationError, match="aborted"):
             full_matching(g, SEED, cap=1)
 
+    @pytest.mark.parametrize("n", [0, 1, 3])
     @pytest.mark.parametrize("cap", [0, -5])
-    def test_cap_below_one_rejected_without_edges(self, cap):
-        g = LocalGraph.from_edges(3, [])
+    def test_cap_below_one_rejected_without_edges(self, cap, n):
+        g = LocalGraph.from_edges(n, [])
         for batch in (full_matching, all_verdicts):
             with pytest.raises(ValueError, match="cap must be >= 1"):
                 batch(g, SEED, cap=cap)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcakit import ranks
-from lcakit.graphs import gen_bounded_degree
+from lcakit.ballsbins import RULES, assign_all
+from lcakit.graphs import gen_bipartite_choices, gen_bounded_degree
 from lcakit.matching import full_matching, is_matched
 from lcakit.ranks import (
     FullPseudorandom,
@@ -23,6 +24,7 @@ from lcakit.ranks import (
     random_in_range,
     rank_key_fn,
     rank_of,
+    rank_values,
 )
 
 SEED = Seed.from_hex("5eed" * 16)
@@ -350,8 +352,41 @@ class TestKeyFunctions:
     def test_out_of_universe_raises(self, kind, item):
         with pytest.raises(ValueError, match="outside declared universe"):
             rank_of(SEED, kind, item, 16)
-        with pytest.raises(ValueError, match="outside declared universe"):
+        with pytest.raises(ValueError, match="outside declared universe") as keyed:
             rank_key_fn(SEED, kind, 16)(item)
+        with pytest.raises(ValueError) as bulk:
+            rank_values(SEED, kind, [0, item], 16)
+        assert str(bulk.value) == str(keyed.value)
+
+    @pytest.mark.parametrize(
+        "kind",
+        [FullPseudorandom(), KWiseIndependent(3, 1009), KWiseIndependent(1, 1009)],
+        ids=["full", "kwise", "degree-0"],
+    )
+    def test_rank_values_are_the_key_values(self, kind):
+        items = [5, 0, 999, 17, 5, 998, 3]
+        key_of = rank_key_fn(SEED, kind, 1000)
+        want = [key_of(x)[0] for x in items]
+        assert rank_values(SEED, kind, items, 1000) == want
+        assert rank_values(SEED, kind, range(1000), 1000) == [key_of(x)[0] for x in range(1000)]
+        if kind == KWiseIndependent(1, 1009):
+            assert len(set(want)) == 1  # a constant polynomial: every value ties
+
+    def test_rank_values_hash_each_item_once(self, monkeypatch):
+        # the module global, so a wrapped _rank_value (the traced
+        # ``ranks.full_key`` span) sees every hash, in item order
+        real = ranks._rank_value
+        hashed: list[int] = []
+
+        def counting(state, item, universe):
+            hashed.append(item)
+            return real(state, item, universe)
+
+        items = list(range(0, 300, 7))[::-1]
+        want = rank_values(SEED, FullPseudorandom(), items, 300)
+        monkeypatch.setattr(ranks, "_rank_value", counting)
+        assert rank_values(SEED, FullPseudorandom(), items, 300) == want
+        assert hashed == items
 
     @pytest.mark.parametrize("universe", [11, 12, 50])
     def test_prime_not_above_universe_raises(self, universe):
@@ -362,6 +397,8 @@ class TestKeyFunctions:
         for item in (0, universe - 1):
             with pytest.raises(ValueError, match="must exceed the universe"):
                 key_of(item)
+            with pytest.raises(ValueError, match="must exceed the universe"):
+                rank_values(SEED, kind, [item], universe)
 
     def test_cold_matching_query_hashes_each_edge_once(self, monkeypatch):
         # ranks._rank_value is the one per-item hash entry (the traced
@@ -416,6 +453,23 @@ class TestKeyFunctions:
         monkeypatch.setattr(ranks, "_rank_value", counting)
         full_matching(g, seed)
         assert sorted(hashed) == sorted(u * n + v for u, v in g.edges())
+
+    def test_assign_all_hashes_each_ball_once(self, monkeypatch):
+        # with no ball over the cap, the batch ranks every ball through
+        # ranks._rank_value, each exactly once, and hashes nothing else
+        bc = gen_bipartite_choices(SEED, 1000, 1000, 2)
+        seed = derive_subseed(SEED, b"batch-hash-count")
+        real = ranks._rank_value
+        hashed: list[int] = []
+
+        def counting(state, item, universe):
+            hashed.append(item)
+            return real(state, item, universe)
+
+        monkeypatch.setattr(ranks, "_rank_value", counting)
+        assignments, _ = assign_all(bc, RULES["least-loaded"], seed)
+        assert not any(a.failed for a in assignments)
+        assert sorted(hashed) == list(range(bc.n_balls))
 
 
 def _reference_words(seed: Seed, label: bytes):
