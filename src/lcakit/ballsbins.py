@@ -269,15 +269,14 @@ def assign_all(
     * Over cap: such closures are not kept, and a ball that chose a bin
       whose memo is over cap is over cap too.  Each over-cap ball is
       answered by :func:`assign_query` itself, so its fallback bin and
-      truncated-walk probes are the cold query's; those queries share one
-      caching key function, built for the first of them.
+      truncated-walk probes are the cold query's.  Their walks read rank
+      keys from the batch's values, so no ball is hashed twice.
     """
     rule.validate(bc)
     if cap is None:
         cap = default_cap(bc.m_bins)
-    universe = max(bc.n_balls, 1)
-    values = rank_values(seed, kind, range(bc.n_balls), universe)
-    key_of = None
+    values = rank_values(seed, kind, range(bc.n_balls), max(bc.n_balls, 1))
+    key_of = lambda b: (values[b], b)  # noqa: E731
     per_member = 1 + bc.d  # probes per closure member
     loads = [0] * bc.m_bins
     load_of = loads.__getitem__
@@ -300,8 +299,6 @@ def assign_all(
             if len(members) <= cap:
                 closure = tuple(members)
         if closure is None:
-            if key_of is None:
-                key_of = rank_key_fn(seed, kind, universe)
             out[b] = assign_query(bc, b, rule, seed, kind, cap, _key_of=key_of)
         else:
             out[b] = Assignment(b, u, failed=False, probes=per_member * len(closure))

@@ -11,11 +11,10 @@ ascending rank, stops at the first matched one, and keeps every verdict in
 one memo shared by the whole batch.  It ranks all edges in one bulk call,
 keys each edge by one integer that orders as its rank does, and finds an
 edge's lower-ranked neighbors as prefixes of sorted per-vertex key lists.
-Edge ranks derive from the packed edge id
-``min * n + max`` over a universe of n*n ids, so they are independent of the
-endpoint ranks and of how the edge was reached.  Both paths run over those
-packed ids, the same integers the ranks hash; edge tuples appear only at the
-public boundary.
+Edge ranks derive from the packed edge id ``min * n + max`` over a universe
+of n*n ids, so they are independent of the endpoint ranks and of how the
+edge was reached.  Both paths run over those packed ids, the same integers
+the ranks hash; edge tuples appear only at the public boundary.
 """
 
 from __future__ import annotations
@@ -142,11 +141,12 @@ def full_matching(
     call, and keyed by the integer ``value * n*n + packed_id``, which orders
     as ``(value, owner)`` does because every packed id is below n*n.  Each
     vertex keeps its edges' keys sorted, so an edge's lower-ranked neighbors
-    are the two prefixes below its key at its endpoints.  Edges are queried in ``g.edges()`` order against one verdict memo.  An
-    edge is matched iff none of its lower-ranked neighbors is matched; they
-    are checked in ascending rank, and the check stops at the first matched
-    one.  A neighbor the memo has not decided yet is decided first, on an
-    explicit stack, so depth never meets Python's recursion limit.
+    are the two prefixes below its key at its endpoints.  Edges are queried
+    in ``g.edges()`` order against one verdict memo.  An edge is matched iff
+    none of its lower-ranked neighbors is matched; they are checked in
+    ascending rank, and the check stops at the first matched one.  A
+    neighbor the memo has not decided yet is decided first, on an explicit
+    stack, so depth never meets Python's recursion limit.
 
     Cap rule: a query whose decision needs more than ``cap`` edges that the
     memo has not decided yet, itself included, aborts the call with
@@ -160,7 +160,6 @@ def full_matching(
     nn = n * n
     higher = [nbrs[bisect_right(nbrs, u) :] for u, nbrs in enumerate(g.adjacency)]
     ids = [u * n + v for u, vs in enumerate(higher) for v in vs]  # g.edges() order
-    # value * nn + id orders as (value, id), since every packed id is below nn
     roots = [r * nn + x for r, x in zip(rank_values(seed, kind, ids, nn), ids)]
     at: list[list[int]] = [[] for _ in range(n)]  # keys of u's edges, ascending
     i = 0

@@ -455,8 +455,9 @@ class TestKeyFunctions:
         assert sorted(hashed) == sorted(u * n + v for u, v in g.edges())
 
     def test_assign_all_hashes_each_ball_once(self, monkeypatch):
-        # with no ball over the cap, the batch ranks every ball through
-        # ranks._rank_value, each exactly once, and hashes nothing else
+        # the batch ranks every ball through ranks._rank_value, each exactly
+        # once, and hashes nothing else: with no ball over the cap, and with
+        # over-cap balls, whose cold walks reuse the batch's rank values
         bc = gen_bipartite_choices(SEED, 1000, 1000, 2)
         seed = derive_subseed(SEED, b"batch-hash-count")
         real = ranks._rank_value
@@ -467,9 +468,11 @@ class TestKeyFunctions:
             return real(state, item, universe)
 
         monkeypatch.setattr(ranks, "_rank_value", counting)
-        assignments, _ = assign_all(bc, RULES["least-loaded"], seed)
-        assert not any(a.failed for a in assignments)
-        assert sorted(hashed) == list(range(bc.n_balls))
+        for cap, over in ((None, False), (5, True)):
+            hashed.clear()
+            assignments, _ = assign_all(bc, RULES["least-loaded"], seed, cap=cap)
+            assert any(a.failed for a in assignments) == over
+            assert sorted(hashed) == list(range(bc.n_balls))
 
 
 def _reference_words(seed: Seed, label: bytes):
