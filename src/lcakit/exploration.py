@@ -88,10 +88,11 @@ def _closure(
 
     Returns (order, probes, truncated) where ``order`` lists members
     ascending by rank, so the root comes last.  An item is keyed again at
-    each comparison and in the sort, so ``key_of`` must cache, as the
-    functions of :func:`~lcakit.ranks.rank_key_fn` do.  A neighbor rejected
-    from one parent may still join later via a higher-ranked parent;
-    rejection is never memorized.
+    each comparison and in the sort, so ``key_of`` must not rank it again:
+    it caches, as the functions of :func:`~lcakit.ranks.rank_key_fn` do, or
+    reads values ranked up front, as ``assign_all``'s does.  A neighbor
+    rejected from one parent may still join later via a higher-ranked
+    parent; rejection is never memorized.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")

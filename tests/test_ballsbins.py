@@ -364,3 +364,24 @@ def test_pinned_assignments(name):
                 costs.update(b"%d %d\n" % (a.ball, a.probes))
     assert answers.hexdigest() == answer_digest
     assert costs.hexdigest() == cost_digest
+
+
+def test_all_ties_fall_to_ball_id():
+    """A degree-0 polynomial gives every ball the same rank value, so arrival
+    order falls to the ball id, in the batch as in the oracle."""
+    n, m = 300, 600
+    bc = gen_bipartite_choices(derive_subseed(SEED, b"ties"), n, m, 2)
+    kind = KWiseIndependent(1, next_prime(n + 1))
+    loads = [0] * m
+    want = []
+    for b in range(n):
+        u = LL.choose(bc, b, loads.__getitem__)
+        loads[u] += 1
+        want.append(u)
+    oracle, _ = run_global(bc, LL, SEED, kind)
+    assert [a.bin for a in oracle] == want
+    batch, _ = assign_all(bc, LL, SEED, kind)
+    assert batch == [assign_query(bc, b, LL, SEED, kind) for b in range(n)]
+    answered = [(a.bin, w) for a, w in zip(batch, want) if not a.failed]
+    assert len(answered) > n // 2
+    assert all(got == w for got, w in answered)
