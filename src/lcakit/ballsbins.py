@@ -222,17 +222,13 @@ def assign_query(
     if not 0 <= ball < bc.n_balls:
         raise ValueError(f"ball {ball} out of range for n={bc.n_balls}")
     key_of = _key_of if _key_of is not None else rank_key_fn(seed, kind, bc.n_balls)
-    probes = 0
 
-    def conflicts(b):
-        # a ball's neighbours are the choosers of its bins
-        nonlocal probes
-        probes += 1  # choices_of lookup
-        for u in bc.choices_of(b):
-            probes += 1  # choosers_of lookup
-            yield from bc.choosers_of(u)
+    def conflicts(b: int) -> list[int]:
+        # the choosers of b's bins, b itself included
+        return [w for u in bc.choices_of(b) for w in bc.choosers_of(u)]
 
-    order, _, truncated = _closure(conflicts, ball, key_of, cap)
+    order, scans, truncated = _closure(conflicts, ball, key_of, cap)
+    probes = (1 + bc.d) * scans  # each scan: b's choice list, each bin's choosers
     if truncated:
         return Assignment(ball, _fallback_bin(bc, ball, seed), failed=True, probes=probes)
     loads: dict[int, int] = {}

@@ -9,15 +9,13 @@ lower-ranked neighbors are all members.  That closure property is what makes
 bottom-up replay exact.  ``_decide`` instead decides a root on demand,
 deciding first only the lower-ranked items its online rule reads.
 
-Every query reports ``probes``, a count of adjacency-oracle lookups whose
-unit depends on the algorithm:
-
-* ``explore``: one per walk dequeue;
-* ``engine.eval_local``: one per vertex whose neighbor list it reads;
-* matching: two per dequeue, one scan of each endpoint's neighbor list;
-* balls-into-bins: one choice-list lookup per dequeued ball plus one
-  chooser-list lookup per bin it scans;
-* coloring and k-SAT: one per hypergraph-oracle call.
+Every query reports ``probes``, the adjacency-oracle lookups it made.  Every
+closure walk is one ``_closure`` call, so its probes are the lookups one
+scan makes times the walk's scan count: one neighbor list for ``explore``,
+both endpoints' neighbor lists for a matching edge, and for a ball its
+choice list plus the d chosen bins' chooser lists.  The on-demand deciders
+count one probe per lookup too: ``engine.eval_local`` per vertex whose
+neighbor list it reads, coloring and k-SAT per hypergraph-oracle call.
 
 The branching-tree sampler models the same growth process on idealized
 infinite trees (fixed fan-out with per-child survival, or binomial
@@ -29,7 +27,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .graphs import LocalGraph, path_graph
 from .ranks import (
@@ -79,31 +77,35 @@ class RelevantSet:
 
 
 def _closure(
-    adj: Callable[[int], Iterable[int]],
+    adj: Callable[[int], Sequence[int]],
     root: int,
     key_of: Callable[[int], tuple[int, int]],
     cap: int,
 ):
     """BFS decreasing-rank closure.
 
-    Returns (order, probes, truncated) where ``order`` lists members
-    ascending by rank, so the root comes last.  An item is keyed again at
-    each comparison and in the sort, so ``key_of`` must not rank it again:
-    it caches, as the functions of :func:`~lcakit.ranks.rank_key_fn` do, or
-    reads values ranked up front, as ``assign_all``'s does.  A neighbor
-    rejected from one parent may still join later via a higher-ranked
-    parent; rejection is never memorized.
+    Returns (order, scans, truncated) where ``order`` lists members
+    ascending by rank, so the root comes last, and ``scans`` counts the
+    ``adj`` calls.  ``adj`` returns a list or tuple, never a lazy iterator,
+    so each scan makes all of its lookups, even the one the cap cuts short:
+    a walk whose scan makes k lookups costs ``k * scans`` probes.
+
+    An item is keyed again at each comparison and in the sort, so
+    ``key_of`` must not rank it again: it caches, as the functions of
+    :func:`~lcakit.ranks.rank_key_fn` do, or reads values ranked up front,
+    as ``assign_all``'s does.  A neighbor rejected from one parent may still
+    join later via a higher-ranked parent; rejection is never memorized.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     members = {root}
     queue = deque([root])
-    probes = 0
+    scans = 0
     truncated = False
     while queue and not truncated:
         v = queue.popleft()
         kv = key_of(v)
-        probes += 1
+        scans += 1
         for w in adj(v):
             if w not in members and key_of(w) < kv:
                 if len(members) >= cap:
@@ -111,7 +113,7 @@ def _closure(
                     break
                 members.add(w)
                 queue.append(w)
-    return sorted(members, key=key_of), probes, truncated
+    return sorted(members, key=key_of), scans, truncated
 
 
 def _decide(root: int, step: Callable[[int], int | None], cap: int) -> bool:
@@ -348,13 +350,14 @@ def _instance_sizes(spec: TreeStatsSpec, seed: Seed, i: int) -> tuple[list[int],
     """Relevant-set sizes and truncation count for instance ``i`` of a spec."""
     g = _generate(spec.generator, derive_subseed(seed, b"instance:%d" % i), spec.n, spec.d)
     roots = RandomStream(derive_subseed(seed, b"roots:%d" % i), b"root")
+    full = FullPseudorandom()
     sizes: list[int] = []
     truncated = 0
     for q, root in enumerate(roots._randranges([g.n] * spec.queries_per_instance)):
-        oseed = derive_subseed(seed, b"order:%d:%d" % (i, q))
-        rs = explore(g, root, oseed, cap=spec.cap)
-        sizes.append(rs.size)
-        truncated += rs.truncated
+        key_of = rank_key_fn(derive_subseed(seed, b"order:%d:%d" % (i, q)), full, g.n)
+        order, _, cut = _closure(g.neighbors, root, key_of, spec.cap)
+        sizes.append(len(order))
+        truncated += cut
     return sizes, truncated
 
 
@@ -390,11 +393,12 @@ def lower_bound_experiment(path_len: int, trials: int, seed: Seed) -> float:
     if trials < 1:
         raise ValueError("need trials >= 1")
     g = path_graph(path_len)
+    full = FullPseudorandom()
     hits = 0
     for t in range(trials):
-        sub = derive_subseed(seed, b"trial:%d" % t)
-        if explore(g, 0, sub, cap=path_len).size == path_len:
-            hits += 1
+        key_of = rank_key_fn(derive_subseed(seed, b"trial:%d" % t), full, path_len)
+        order, _, _ = _closure(g.neighbors, 0, key_of, path_len)
+        hits += len(order) == path_len
     return hits / trials
 
 

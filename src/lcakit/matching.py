@@ -43,30 +43,6 @@ def canonical_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def _edge_key_fn(g: LocalGraph, seed: Seed, kind: OrderingKind):
-    """Rank key on canonical edges via their packed ids."""
-    base = rank_key_fn(seed, kind, g.n * g.n)
-
-    def key(e: Edge) -> tuple[int, int]:
-        return base(e[0] * g.n + e[1])
-
-    return key
-
-
-def _packed_adjacency(g: LocalGraph) -> Callable[[int], list[int]]:
-    """Packed ids of the edges sharing an endpoint with packed edge x = u*n+v:
-    u's other neighbors, then v's, each in ascending id order."""
-    n, nbrs = g.n, g.neighbors
-
-    def adj(x: int) -> list[int]:
-        u, v = divmod(x, n)
-        out = [u * n + w if u < w else w * n + u for w in nbrs(u) if w != v]
-        out += [v * n + w if v < w else w * n + v for w in nbrs(v) if w != u]
-        return out
-
-    return adj
-
-
 def is_matched(
     g: LocalGraph,
     e: Edge,
@@ -89,9 +65,16 @@ def is_matched(
         raise ValueError(f"{e} is not an edge of the graph")
     n = g.n
     key_of = _key_of if _key_of is not None else rank_key_fn(seed, kind, n * n)
-    root = e[0] * n + e[1]
-    order, scans, truncated = _closure(_packed_adjacency(g), root, key_of, cap)
-    probes = 2 * scans  # each adjacency scan reads both endpoint neighbor lists
+    nbrs = g.neighbors
+
+    def adj(x: int) -> list[int]:
+        # packed ids of the edges at x's two endpoints, x itself included
+        return [
+            u * n + w if u < w else w * n + u for u in divmod(x, n) for w in nbrs(u)
+        ]
+
+    order, scans, truncated = _closure(adj, e[0] * n + e[1], key_of, cap)
+    probes = 2 * scans  # each scan reads both endpoints' neighbor lists
     if truncated:
         raise TruncationError(
             f"relevant edge set of {e} exceeded cap {cap}",
@@ -213,9 +196,10 @@ def greedy_by_rank(
     g: LocalGraph, seed: Seed, kind: OrderingKind = FullPseudorandom()
 ) -> frozenset[Edge]:
     """Oracle: run greedy over all edges in ascending rank order."""
-    key_of = _edge_key_fn(g, seed, kind)
-    edges = sorted(g.edges(), key=key_of)
-    used = bytearray(g.n)
+    n = g.n
+    key_of = rank_key_fn(seed, kind, n * n)
+    edges = sorted(g.edges(), key=lambda e: key_of(e[0] * n + e[1]))
+    used = bytearray(n)
     out = set()
     for u, v in edges:
         if not used[u] and not used[v]:

@@ -153,6 +153,15 @@ class TestAssignQuery:
         assert assign_query(bc, first, LL, SEED).probes == 1 + 2
         assert assign_query(bc, second, LL, SEED).probes == 2 * (1 + 2)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_probes_count_whole_scans(self, d):
+        # each scan reads the ball's choice list and its d bins' chooser
+        # lists, the scan that the cap cuts short included
+        bc = gen_bipartite_choices(derive_subseed(SEED, b"scans:%d" % d), 300, 300, d)
+        for cap in (1, 2, 3, 5):
+            for ball in range(300):
+                assert assign_query(bc, ball, LL, SEED, cap=cap).probes % (1 + d) == 0
+
     def test_cap_one_on_shared_bin_fails_latest(self):
         bc = BipartiteChoices.from_choices(3, 1, 1, [(0,), (0,), (0,)])
         latest = max(range(3), key=rank_key_fn(SEED, FullPseudorandom(), 3))
@@ -322,22 +331,22 @@ PINNED = {  # rule: (scheme, answer digest, cost digest)
     "least-loaded": (
         "uniform",
         "c81a74683f4a190d12580912d0b61c589d324df2d998463568305eeca3fd4705",
-        "b7e9a33e056813998464b650d9cb7d1750aff10417ae620aec1fdf1ccebbc333",
+        "846d5bc5ac78b636de8fa4c8b96c260aca46b2c8ce4bddbfb4173291cd6525b4",
     ),
     "always-go-left": (
         "grouped",
         "37e39125d6ec8464a56699568fc8caf98062aaf6586cbd53e2fa38d878fba640",
-        "d1d29f3e7ca00fe3f3953c2d5607b882b7e53df2c33c023708f5d93a39260450",
+        "f66f558756a43114f6162bcd0aefc06054817c01de5bd43c8793a3c25ddfa1ba",
     ),
     "capacity": (
         "capacity",
         "de71bcb2e6766dd0dcda44f39840e7deb05c2b8cf9b565926c5062d58521ffd7",
-        "8e89ba46765ba9fc82007535ddeaa2aa39811cbaa67b7c0014dd78d8af09112b",
+        "eaa28a678324db0187969ca558e735d4877b5a79dc724396995d3c5860153b8e",
     ),
     "circle": (
         "circle",
         "5f2d68200b6f6387c23abd342fd390a5c08ae117ad9f22b2882632a1f515aa2f",
-        "f6ead051fbb613f56295b5736dcb53a785662ca5c5f5222081beec7679b19b3d",
+        "4ad25533449ca8d11df6d1b540a90c3e2110a49a8631aba1a157a77f0a4407cd",
     ),
 }
 

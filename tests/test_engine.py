@@ -193,12 +193,13 @@ class TestEvalGlobal:
 
 class TestRankMap:
     def test_line_graph_with_edge_ranks_matches_matching(self):
-        from lcakit.matching import _edge_key_fn, full_matching
+        from lcakit.matching import full_matching
 
         g = gen_bounded_degree(SEED, 60, 4)
         lg, edges = line_graph(g)
-        edge_key = _edge_key_fn(g, SEED, FullPseudorandom())
-        rank_map = lambda i: edge_key(edges[i])  # noqa: E731
+        # matching ranks an edge (u, v) by its packed id u * n + v
+        edge_key = rank_key_fn(SEED, FullPseudorandom(), g.n * g.n)
+        rank_map = lambda i: edge_key(edges[i][0] * g.n + edges[i][1])  # noqa: E731
         trace = eval_global(lg, greedy_rule, SEED, rank_map=rank_map)
         expected = full_matching(g, SEED)
         got = {edges[i] for i, out in trace.outputs.items() if out}

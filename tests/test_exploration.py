@@ -226,6 +226,20 @@ class TestTreeStats:
         with pytest.raises(ValueError, match="unknown generator"):
             tree_stats(TreeStatsSpec("bogus", 8, 2), SEED)
 
+    def test_sizes_are_explore_sizes_where_the_cap_cuts(self):
+        # explore_sizes walks without building a RelevantSet; each trial's size
+        # and truncation must still be those of explore on the same trial
+        spec = TreeStatsSpec("bounded", 200, 5, instances=1, queries_per_instance=40, cap=3)
+        sizes, truncated = explore_sizes(spec, SEED)
+        g = gen_bounded_degree(derive_subseed(SEED, b"instance:0"), 200, 5)
+        roots = RandomStream(derive_subseed(SEED, b"roots:0"), b"root")._randranges([200] * 40)
+        want = [
+            explore(g, root, derive_subseed(SEED, b"order:0:%d" % q), cap=3)
+            for q, root in enumerate(roots)
+        ]
+        assert sizes == [rs.size for rs in want]
+        assert truncated == sum(rs.truncated for rs in want) > 0
+
 
 class TestTailSlope:
     def test_exact_geometric_decay(self):

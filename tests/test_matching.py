@@ -10,7 +10,6 @@ from lcakit.exploration import TruncationError
 from lcakit.graphs import LocalGraph, gen_bounded_degree, path_graph
 from lcakit.matching import (
     MatchVerdict,
-    _edge_key_fn,
     all_verdicts,
     canonical_edge,
     full_matching,
@@ -24,9 +23,16 @@ from lcakit.ranks import (
     Seed,
     derive_subseed,
     next_prime,
+    rank_key_fn,
 )
 
 SEED = Seed.from_hex("5eed" * 16)
+
+
+def edge_key_fn(g, seed):
+    """Rank key of a canonical edge: the rank of its packed id u * n + v."""
+    key_of = rank_key_fn(seed, FullPseudorandom(), g.n * g.n)
+    return lambda e: key_of(e[0] * g.n + e[1])
 
 
 def greedy_oracle(edges_by_rank):
@@ -60,7 +66,7 @@ class TestIsMatched:
         g = LocalGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
         for i in range(30):
             s = derive_subseed(SEED, b"t:%d" % i)
-            key_of = _edge_key_fn(g, s, FullPseudorandom())
+            key_of = edge_key_fn(g, s)
             lowest = min(g.edges(), key=key_of)
             for e in g.edges():
                 assert is_matched(g, e, s).matched == (e == lowest)
@@ -110,7 +116,7 @@ class TestOracleEquivalence:
         for i in range(25):
             g = gen_bounded_degree(derive_subseed(SEED, b"g:%d" % i), 12, 3)
             s = derive_subseed(SEED, b"r:%d" % i)
-            key_of = _edge_key_fn(g, s, FullPseudorandom())
+            key_of = edge_key_fn(g, s)
             expected = greedy_oracle(sorted(g.edges(), key=key_of))
             for e in g.edges():
                 assert is_matched(g, e, s).matched == (e in expected)
@@ -176,7 +182,7 @@ class TestFullMatching:
         seen = set()
         for i in range(16):
             s = derive_subseed(SEED, b"path3:%d" % i)
-            key_of = _edge_key_fn(g, s, FullPseudorandom())
+            key_of = edge_key_fn(g, s)
             needed = 2 if key_of((1, 2)) < key_of((0, 1)) else 1
             seen.add(needed)
             assert full_matching(g, s, cap=needed) == greedy_by_rank(g, s)
@@ -290,6 +296,7 @@ def test_pinned_verdicts():
         for kind in (FullPseudorandom(), KWiseIndependent(8, next_prime(n**3))):
             verdicts = all_verdicts(g, s, kind)
             for e, v in verdicts.items():
+                assert v.probes == 2 * v.edges_evaluated  # two lookups per scan
                 answers.update(b"%r %d\n" % (e, v.matched))
                 costs.update(b"%r %d %d\n" % (e, v.probes, v.edges_evaluated))
             for cap in (1, 2, 3, 5):
@@ -300,6 +307,7 @@ def test_pinned_verdicts():
                         costs.update(b"%r\n" % ((cap, e, "cut", exc.size, exc.probes, str(exc)),))
                         continue
                     assert v.matched == verdicts[e].matched
+                    assert v.probes == 2 * v.edges_evaluated
                     costs.update(b"%r\n" % ((cap, e, v.probes, v.edges_evaluated),))
     assert answers.hexdigest() == PINNED_VERDICT_ANSWERS
     assert costs.hexdigest() == PINNED_VERDICT_COSTS
