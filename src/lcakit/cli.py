@@ -109,10 +109,11 @@ def _emit(report: dict, out: str | None, fmt: str, csv_rows=None) -> None:
 
 
 def _parallel_map(fn, args_list, jobs: int) -> list:
-    """Order-preserving map, optionally across processes."""
+    """Order-preserving map, optionally across processes, one per task at most:
+    a fork-started pool launches all of its workers up front."""
     if jobs <= 1 or len(args_list) <= 1:
         return [fn(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(args_list))) as pool:
         return list(pool.map(fn, args_list))
 
 

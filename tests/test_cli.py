@@ -4,7 +4,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from lcakit import coloring
+from lcakit import cli, coloring
 from lcakit.cli import (
     EXIT_BUDGET,
     EXIT_GENERATION,
@@ -306,16 +306,39 @@ class TestSubcommandBehavior:
         )
         assert report["results"]["invalid"] == 0
 
-    def test_balls_bins_coloring_jobs_stable(self, runner, tmp_path):
+    def test_worker_commands_jobs_stable(self, runner, tmp_path):
         for cmd in (
             ["balls-bins", "--n", "150", "--m", "150", "--trials", "3"],
             ["coloring", "--m", "200", "--n", "10", "--k", "40", "--d", "2",
              "--trials", "3"],
+            ["ksat", "--m", "200", "--n", "10", "--k", "40", "--d", "2",
+             "--trials", "3"],
+            ["gw-sim", "--trials", "3000"],  # splits its trials by --jobs
         ):
             out1, out2 = tmp_path / "j1.json", tmp_path / "j2.json"
             run_ok(runner, ["--seed", SEED_HEX, "--out", str(out1), "--jobs", "1"] + cmd)
             run_ok(runner, ["--seed", SEED_HEX, "--out", str(out2), "--jobs", "2"] + cmd)
             assert out1.read_bytes() == out2.read_bytes()
+
+    def test_parallel_map_starts_at_most_one_worker_per_task(self, monkeypatch):
+        started = []
+
+        class SerialPool:  # records the pool size and starts no process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        assert cli._parallel_map(abs, [-1, -2, -3], 8) == [1, 2, 3]
+        assert started == [3]
 
     def test_tree_stats_single_trivial_trial(self, runner):
         report = json.loads(
