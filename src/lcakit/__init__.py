@@ -11,7 +11,6 @@ from .ranks import (
     KWiseIndependent,
     Rank,
     Seed,
-    compare,
     derive_subseed,
     random_in_range,
     rank_of,
@@ -24,7 +23,6 @@ __all__ = [
     "KWiseIndependent",
     "Rank",
     "Seed",
-    "compare",
     "derive_subseed",
     "random_in_range",
     "rank_of",

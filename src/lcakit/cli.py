@@ -374,6 +374,11 @@ def matching_cmd(ctx, n, d, cap, edge, trials, ordering, kwise_k, failure_budget
     t0 = time.time()
     seed = ctx.obj["seed"]
     kind = _ordering(ordering, kwise_k, n * n)
+    if edge is not None:
+        try:
+            u, v = (int(x) for x in edge.split(","))
+        except ValueError:
+            raise click.UsageError("--edge must be 'u,v'")
     per_trial = []
     failures = 0
     rows = []
@@ -383,10 +388,6 @@ def matching_cmd(ctx, n, d, cap, edge, trials, ordering, kwise_k, failure_budget
         )
         rseed = derive_subseed(seed, b"ranks:%d" % t)
         if edge is not None:
-            try:
-                u, v = (int(x) for x in edge.split(","))
-            except ValueError:
-                raise click.UsageError("--edge must be 'u,v'")
             try:
                 verdict = matching.is_matched(g, (u, v), rseed, kind, cap)
             except ValueError as exc:  # each trial generates its own graph

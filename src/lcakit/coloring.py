@@ -177,8 +177,8 @@ class _CnfView:
         self.n = f.n
         self.k = f.k
         self.dep = f.dependency_degree
-        self._vars = tuple(tuple(v for v, _ in cl) for cl in f.clauses)
-        self._want = tuple(dict(cl) for cl in f.clauses)
+        self._vars = f.clause_vars
+        self._want = f.clause_wants
 
     def items_of(self, c: int) -> tuple[int, ...]:
         return self._vars[c]

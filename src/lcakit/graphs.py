@@ -6,10 +6,8 @@ generator is a pure function of (seed, parameters).
 
 Text formats (one record per line, '#' comments allowed):
 
-* graphs: header ``graph n=<n>`` then ``u v`` edge lines
 * hypergraphs: header ``hypergraph m=<m>`` then ``e v1 ... vk`` lines
 * CNF: DIMACS (``p cnf <vars> <clauses>`` then ``lit ... 0`` lines)
-* ball choices: header ``choices n=<n> m=<m> d=<d>`` then ``ball bin1 ... bind``
 """
 
 from __future__ import annotations
@@ -67,9 +65,6 @@ class LocalGraph:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range for n={self.n}")
         return self.adjacency[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as canonical (min, max) pairs, sorted."""
@@ -240,6 +235,18 @@ class CnfFormula:
     clauses: tuple[tuple[tuple[int, bool], ...], ...]
     variable_incidence: tuple[tuple[int, ...], ...]
     dependency_degree: int
+    # Per-clause lookups that every query reads, set at construction like
+    # BipartiteChoices' facts, so that no query pays for the whole formula:
+    # each clause's variables, and each of its variables' wanted polarity.
+    clause_vars: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    clause_wants: tuple[dict[int, bool], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        clauses = self.clauses
+        object.__setattr__(
+            self, "clause_vars", tuple(tuple(v for v, _ in cl) for cl in clauses)
+        )
+        object.__setattr__(self, "clause_wants", tuple(map(dict, clauses)))
 
     @classmethod
     def from_clauses(
@@ -267,7 +274,7 @@ class CnfFormula:
         return cls(m, len(cleaned), k, tuple(cleaned), *_incidence(m, var_sets))
 
     def vars_of(self, c: int) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.clauses[c])
+        return self.clause_vars[c]
 
     def clauses_of(self, v: int) -> tuple[int, ...]:
         if not 0 <= v < self.m:
@@ -595,36 +602,6 @@ def _parse_header(lineno: int, text: str, tag: str, fields: Sequence[str]) -> di
     return out
 
 
-def load_graph(lines: Iterable[str]) -> LocalGraph:
-    it = _records(lines)
-    try:
-        lineno, text = next(it)
-    except StopIteration:
-        raise ValueError("empty graph file") from None
-    header = _parse_header(lineno, text, "graph", ["n"])
-    n = header["n"]
-    edges = []
-    for lineno, text in it:
-        parts = text.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'u v', got {text!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-integer vertex id in {text!r}") from None
-        edges.append((u, v))
-    try:
-        return LocalGraph.from_edges(n, edges)
-    except ValueError as exc:
-        raise ValueError(f"invalid graph: {exc}") from None
-
-
-def dump_graph(g: LocalGraph) -> str:
-    out = [f"graph n={g.n}"]
-    out.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(out) + "\n"
-
-
 def load_hypergraph(lines: Iterable[str]) -> Hypergraph:
     it = _records(lines)
     try:
@@ -695,41 +672,4 @@ def dump_cnf(f: CnfFormula) -> str:
     for clause in f.clauses:
         lits = " ".join(str(v + 1 if s else -(v + 1)) for v, s in clause)
         out.append(f"{lits} 0")
-    return "\n".join(out) + "\n"
-
-
-def load_choices(lines: Iterable[str]) -> BipartiteChoices:
-    it = _records(lines)
-    try:
-        lineno, text = next(it)
-    except StopIteration:
-        raise ValueError("empty choices file") from None
-    header = _parse_header(lineno, text, "choices", ["n", "m", "d"])
-    n, m, d = header["n"], header["m"], header["d"]
-    rows: dict[int, tuple[int, ...]] = {}
-    for lineno, text in it:
-        try:
-            nums = [int(x) for x in text.split()]
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-integer id in {text!r}") from None
-        if len(nums) != d + 1:
-            raise ValueError(
-                f"line {lineno}: expected 'ball bin1 ... bin{d}', got {text!r}"
-            )
-        ball = nums[0]
-        if ball in rows:
-            raise ValueError(f"line {lineno}: duplicate ball {ball}")
-        rows[ball] = tuple(nums[1:])
-    if sorted(rows) != list(range(n)):
-        raise ValueError(f"choices file must cover balls 0..{n - 1} exactly once")
-    try:
-        return BipartiteChoices.from_choices(n, m, d, [rows[b] for b in range(n)])
-    except ValueError as exc:
-        raise ValueError(f"invalid choices: {exc}") from None
-
-
-def dump_choices(bc: BipartiteChoices) -> str:
-    out = [f"choices n={bc.n_balls} m={bc.m_bins} d={bc.d}"]
-    for ball, row in enumerate(bc.choices):
-        out.append(str(ball) + " " + " ".join(str(u) for u in row))
     return "\n".join(out) + "\n"

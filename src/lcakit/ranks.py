@@ -381,21 +381,6 @@ def rank_of(seed: Seed, kind: OrderingKind, item: int, universe: int) -> Rank:
     return Rank(_kwise_value_fn(seed, kind, universe)(item), item)
 
 
-def compare(a: Rank, b: Rank) -> int:
-    """Strict total order on ranks: -1 if a precedes b, +1 otherwise.
-
-    Value ties are broken by owner id. Comparing two ranks that are equal in
-    both fields is a usage error (two items never share an owner id).
-    """
-    ka = (a.value, a.owner)
-    kb = (b.value, b.owner)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    raise ValueError("cannot order two identical ranks")
-
-
 def rank_values(
     seed: Seed, kind: OrderingKind, items: Sequence[int], universe: int
 ) -> list[int]:

@@ -4,7 +4,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from lcakit import cli, coloring
+from lcakit import cli, coloring, graphs
 from lcakit.cli import (
     EXIT_BUDGET,
     EXIT_GENERATION,
@@ -250,6 +250,20 @@ class TestSubcommandBehavior:
         assert "Traceback" not in result.output
         report = json.loads(run_ok(runner, args + ["--edge", "1,15"]).stdout)
         assert [row["trial"] for row in report["results"]["per_trial"]] == [0, 1]
+
+    @pytest.mark.parametrize("edge", ["x", "0", "0,1,2"])
+    def test_malformed_edge_exits_before_any_graph(self, runner, monkeypatch, edge):
+        def no_graph(*args):
+            raise AssertionError("a graph was generated")
+
+        monkeypatch.setattr(graphs, "gen_bounded_degree", no_graph)
+        result = runner.invoke(
+            main,
+            ["--seed", SEED_HEX, "matching", "--n", "300000", "--d", "5", "--edge", edge],
+        )
+        assert result.exit_code == 2, result.output
+        assert "--edge must be 'u,v'" in result.output
+        assert "Traceback" not in result.output
 
     def test_oracle_compare_reports_zero_mismatches(self, runner):
         result = run_ok(

@@ -16,7 +16,6 @@ from lcakit.ranks import (
     RandomStream,
     Seed,
     _digest,
-    compare,
     derive_subseed,
     is_probable_prime,
     next_prime,
@@ -132,22 +131,10 @@ class TestExhaustiveOrderUniformity:
 
 class TestCompare:
     def test_value_order(self):
-        assert compare(Rank(5, 0), Rank(9, 1)) == -1
+        assert Rank(5, 1) < Rank(9, 0)
 
     def test_owner_tiebreak(self):
-        assert compare(Rank(5, 2), Rank(5, 3)) == -1
-
-    def test_identical_ranks_rejected(self):
-        with pytest.raises(ValueError):
-            compare(Rank(5, 2), Rank(5, 2))
-
-    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1),
-           st.integers(0, 1000), st.integers(0, 1000))
-    def test_antisymmetry(self, va, vb, oa, ob):
-        a, b = Rank(va, oa), Rank(vb, ob)
-        if (va, oa) == (vb, ob):
-            return
-        assert compare(a, b) == -compare(b, a)
+        assert Rank(5, 2) < Rank(5, 3)
 
     @settings(max_examples=30)
     @given(st.lists(st.integers(0, 63), min_size=1, max_size=20, unique=True))
@@ -155,7 +142,7 @@ class TestCompare:
         ranks = [rank_of(SEED, KWiseIndependent(2, 307), v, 64) for v in vertices]
         ordered = sorted(ranks)
         for x, y in zip(ordered, ordered[1:]):
-            assert compare(x, y) == -1
+            assert x < y
 
 
 class TestDeriveSubseed:
