@@ -1,8 +1,10 @@
 """Graph, hypergraph, and balls-into-bins instance types plus seeded generators.
 
-All instances are immutable after construction and validated on entry, so
-algorithms can treat adjacency lookups as a trusted local oracle.  Every
-generator is a pure function of (seed, parameters).
+All instances are immutable after construction and valid, so algorithms
+can treat adjacency lookups as a trusted local oracle.  Instances built from
+outside input are validated on entry (``from_edges``, ``from_choices``);
+generators build valid instances directly.  Every generator is a pure
+function of (seed, parameters).
 
 Text formats (one record per line, '#' comments allowed):
 
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, cycle, repeat
+from itertools import chain, cycle, repeat
 from operator import add
 from typing import Iterable, Sequence
 
@@ -34,8 +36,9 @@ _CHUNK = 512
 class LocalGraph:
     """Undirected graph exposed through per-vertex neighbor lists.
 
-    Invariants (checked in :meth:`from_edges`): symmetric adjacency, no
-    self-loops, no duplicate neighbors, ``max_degree`` is the true maximum.
+    Invariants: symmetric adjacency, no self-loops, no duplicate neighbors,
+    ``max_degree`` is the true maximum.  :meth:`from_edges` checks them on
+    outside input; generators hold them by construction.
     """
 
     n: int
@@ -57,6 +60,11 @@ class LocalGraph:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             nbrs.add(v)
             adj[v].add(u)
+        return cls._of(n, adj)
+
+    @classmethod
+    def _of(cls, n: int, adj: Iterable[Iterable[int]]) -> "LocalGraph":
+        """The graph of per-vertex neighbors that already hold the invariants."""
         adjacency = tuple(map(tuple, map(sorted, adj)))
         return cls(n, adjacency, max(map(len, adjacency), default=0))
 
@@ -91,18 +99,16 @@ def line_graph(g: LocalGraph) -> tuple[LocalGraph, tuple[tuple[int, int], ...]]:
     the original canonical edge.
     """
     edges = g.edges()
-    index = {e: i for i, e in enumerate(edges)}
-    pairs = set()
     incident: list[list[int]] = [[] for _ in range(g.n)]
     for i, (u, v) in enumerate(edges):
         incident[u].append(i)
         incident[v].append(i)
+    # Two edges of a simple graph share at most one endpoint, so no pair repeats.
+    adj: list[list[int]] = [[] for _ in edges]
     for ids in incident:
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                pairs.add((min(ids[a], ids[b]), max(ids[a], ids[b])))
-    lg = LocalGraph.from_edges(len(edges), sorted(pairs))
-    return lg, edges
+        for i in ids:
+            adj[i].extend(j for j in ids if j != i)
+    return LocalGraph._of(len(edges), adj), edges
 
 
 def gen_bounded_degree(seed: Seed, n: int, d: int) -> LocalGraph:
@@ -120,7 +126,11 @@ def gen_bounded_degree(seed: Seed, n: int, d: int) -> LocalGraph:
     pairs = iter(stubs)
     # first occurrence of each pair, in stub order
     edges = dict.fromkeys((u, v) if u < v else (v, u) for u, v in zip(pairs, pairs) if u != v)
-    return LocalGraph.from_edges(n, edges)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return LocalGraph._of(n, adj)
 
 
 def gen_binomial(seed: Seed, n: int, d: float) -> LocalGraph:
@@ -137,7 +147,7 @@ def gen_binomial(seed: Seed, n: int, d: float) -> LocalGraph:
     stream = RandomStream(seed, b"gen-binomial")
     log1p = math.log1p
     log1mp = log1p(-p)
-    edges = []
+    adj: list[list[int]] = [[] for _ in range(n)]
     v, w = 1, -1
     # One uniform per skip, decoded a chunk at a time.  The stream is local,
     # so the words drawn past the last skip change nothing.
@@ -148,8 +158,9 @@ def gen_binomial(seed: Seed, n: int, d: float) -> LocalGraph:
             v += 1
         if v >= n:
             break
-        edges.append((w, v))
-    return LocalGraph.from_edges(n, edges)
+        adj[w].append(v)
+        adj[v].append(w)
+    return LocalGraph._of(n, adj)
 
 
 # ---------------------------------------------------------------------------
@@ -445,20 +456,8 @@ class BipartiteChoices:
                 for u in row:
                     if not 0 <= u < m_bins:
                         raise ValueError(f"ball {ball} chose bin {u} out of range")
-        incidence: list[list[int]] = [[] for _ in range(m_bins)]
-        for ball, row in enumerate(rows):
-            for u in row:
-                balls = incidence[u]
-                if not balls or balls[-1] != ball:  # once per distinct bin
-                    balls.append(ball)
         if capacities is not None:
-            capacities = tuple(int(x) for x in capacities)
-            if len(capacities) != m_bins or any(x < 0 for x in capacities):
-                raise ValueError("capacities must list one value >= 0 per bin")
-            if sum(capacities) != n_balls:
-                raise ValueError(
-                    f"capacities sum to {sum(capacities)}, expected n_balls={n_balls}"
-                )
+            capacities = _checked_capacities(capacities, m_bins, n_balls)
         if group_of is not None:
             group_of = tuple(int(x) for x in group_of)
             if len(group_of) != m_bins:
@@ -472,7 +471,7 @@ class BipartiteChoices:
             m_bins,
             d,
             tuple(rows),
-            tuple(map(tuple, incidence)),
+            _bin_incidence(rows, m_bins),
             capacities,
             group_of,
             positions,
@@ -489,10 +488,34 @@ class BipartiteChoices:
         return self.bin_incidence[u]
 
 
-def _rows(flat: list[int], d: int) -> list[tuple[int, ...]]:
+def _bin_incidence(
+    rows: Sequence[Sequence[int]], m_bins: int
+) -> tuple[tuple[int, ...], ...]:
+    """For each bin, the balls that chose it, in ball order."""
+    incidence: list[list[int]] = [[] for _ in range(m_bins)]
+    for ball, row in enumerate(rows):
+        for u in row:
+            balls = incidence[u]
+            if not balls or balls[-1] != ball:  # once per distinct bin
+                balls.append(ball)
+    return tuple(map(tuple, incidence))
+
+
+def _checked_capacities(
+    capacities: Iterable[int], m_bins: int, n_balls: int
+) -> tuple[int, ...]:
+    caps = tuple(int(x) for x in capacities)
+    if len(caps) != m_bins or any(x < 0 for x in caps):
+        raise ValueError("capacities must list one value >= 0 per bin")
+    if sum(caps) != n_balls:
+        raise ValueError(f"capacities sum to {sum(caps)}, expected n_balls={n_balls}")
+    return caps
+
+
+def _rows(flat: list[int], d: int) -> tuple[tuple[int, ...], ...]:
     """``flat`` cut into consecutive rows of ``d``."""
     it = iter(flat)
-    return list(zip(*[it] * d))
+    return tuple(zip(*[it] * d))
 
 
 def _nearest_bins(positions: Sequence[float], xs: Iterable[float]) -> list[int]:
@@ -531,14 +554,23 @@ def gen_bipartite_choices(
       capacities (which must sum to n_balls).
     * ``circle``: bins sit at seeded points on a circle; each choice is the
       bin nearest to a fresh uniform point.
+
+    Every drawn bin is in range, so only the capacities are checked.
     """
     if d < 1 or m_bins < 1 or n_balls < 0:
         raise ValueError("need d >= 1, m_bins >= 1, n_balls >= 0")
     stream = RandomStream(seed, b"gen-bipartite:" + scheme.encode())
     k = n_balls * d
+
+    def built(flat, capacities=None, group_of=None, positions=None):
+        rows = _rows(flat, d)
+        return BipartiteChoices(
+            n_balls, m_bins, d, rows, _bin_incidence(rows, m_bins),
+            capacities, group_of, positions,
+        )
+
     if scheme == "uniform":
-        flat = stream._randranges([m_bins] * k)
-        return BipartiteChoices.from_choices(n_balls, m_bins, d, _rows(flat, d))
+        return built(stream._randranges([m_bins] * k))
     if scheme == "grouped":
         if m_bins < d:
             raise ValueError(f"grouped sampling needs m_bins >= d (got {m_bins} < {d})")
@@ -546,9 +578,7 @@ def gen_bipartite_choices(
         sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
         group_of = tuple(chain.from_iterable(map(repeat, range(d), sizes)))
         flat = list(map(add, stream._randranges(sizes * n_balls), cycle(bounds[:d])))
-        return BipartiteChoices.from_choices(
-            n_balls, m_bins, d, _rows(flat, d), group_of=group_of
-        )
+        return built(flat, group_of=group_of)
     if scheme == "capacity":
         if capacities is None:
             raise ValueError("capacity sampling needs a capacities vector")
@@ -556,17 +586,13 @@ def gen_bipartite_choices(
         total = sum(caps)
         if len(caps) != m_bins or total <= 0:
             raise ValueError("capacities must cover every bin and sum to > 0")
-        prefix = list(accumulate(caps))
-        flat = [bisect_right(prefix, r) for r in stream._randranges([total] * k)]
-        return BipartiteChoices.from_choices(
-            n_balls, m_bins, d, _rows(flat, d), capacities=caps
-        )
+        caps = _checked_capacities(caps, m_bins, n_balls)
+        # owner[r] is the bin whose share of [0, total) holds r
+        owner = list(chain.from_iterable(map(repeat, range(m_bins), caps)))
+        return built(list(map(owner.__getitem__, stream._randranges([total] * k))), caps)
     if scheme == "circle":
         positions = tuple(stream._randoms(m_bins))
-        flat = _nearest_bins(positions, stream._randoms(k))
-        return BipartiteChoices.from_choices(
-            n_balls, m_bins, d, _rows(flat, d), positions=positions
-        )
+        return built(_nearest_bins(positions, stream._randoms(k)), positions=positions)
     raise ValueError(f"unknown sampling scheme {scheme!r}")
 
 

@@ -57,7 +57,10 @@ class Seed:
     def from_hex(cls, text: str) -> "Seed":
         """Parse an ensemble-0 seed from 64 hex characters (the CLI wire
         format); :meth:`with_ensemble` selects another ensemble."""
-        key = bytes.fromhex(text.strip())
+        try:
+            key = bytes.fromhex(text.strip())
+        except ValueError:  # not hex at all: same message as a wrong length
+            key = b""
         if len(key) != 32:
             raise ValueError("seed must be 64 hex characters (32 bytes)")
         return cls(key)

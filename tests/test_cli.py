@@ -112,6 +112,16 @@ class TestExitCodes:
         result = runner.invoke(main, ["--seed", "zz", "lower-bound"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+    def test_non_hex_seed_names_the_format(self, runner, via_env):
+        if via_env:
+            result = runner.invoke(main, ["lower-bound"], env={"LCAKIT_SEED": "zz"})
+        else:
+            result = runner.invoke(main, ["--seed", "zz", "lower-bound"])
+        assert result.exit_code == 2
+        assert "seed must be 64 hex characters (32 bytes)" in result.output
+        assert "fromhex" not in result.output
+
     def test_invalid_parameters_are_usage_errors(self, runner):
         result = runner.invoke(
             main, ["--seed", SEED_HEX, "gw-sim", "--mode", "regular", "--d", "9", "--big-l", "3"]

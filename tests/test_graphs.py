@@ -239,6 +239,77 @@ class TestLineGraph:
                 assert (j in lg.neighbors(i)) == shares
 
 
+GRAPH_GRID = [(1, 1), (1, 3), (2, 1), (2, 4), (3, 2), (7, 3), (30, 1), (30, 5), (200, 4)]
+BINOMIAL_GRID = [(2, 0.5), (2, 1.5), (3, 1.0), (10, 2.5), (60, 3.0), (500, 5.0)]
+CHOICE_GRID = [(0, 5, 2), (1, 1, 1), (7, 2, 3), (9, 3, 3), (40, 9, 1), (50, 10, 2), (200, 30, 3)]
+
+
+def _assert_same_choices(bc):
+    rebuilt = BipartiteChoices.from_choices(
+        bc.n_balls, bc.m_bins, bc.d, bc.choices, bc.capacities, bc.group_of, bc.positions
+    )
+    assert rebuilt == bc
+    # compare=False fields, so == above does not read them
+    assert rebuilt.capacities_positive == bc.capacities_positive
+    assert rebuilt.choices_follow_groups == bc.choices_follow_groups
+
+
+class TestConstructionPaths:
+    """Generators build their instances directly; validating the same data
+    through from_edges / from_choices must give an equal instance."""
+
+    @pytest.mark.parametrize("n, d", GRAPH_GRID, ids=str)
+    def test_bounded_degree_equals_from_edges(self, n, d):
+        g = gen_bounded_degree(derive_subseed(SEED, b"paths:bd:%d:%d" % (n, d)), n, d)
+        assert LocalGraph.from_edges(g.n, g.edges()) == g
+        lg, _ = line_graph(g)
+        assert LocalGraph.from_edges(lg.n, lg.edges()) == lg
+
+    @pytest.mark.parametrize("n, d", BINOMIAL_GRID, ids=str)
+    def test_binomial_equals_from_edges(self, n, d):
+        g = gen_binomial(derive_subseed(SEED, b"paths:bin:%d:%r" % (n, d)), n, d)
+        assert LocalGraph.from_edges(g.n, g.edges()) == g
+        lg, _ = line_graph(g)
+        assert LocalGraph.from_edges(lg.n, lg.edges()) == lg
+
+    def test_graph_grid_has_edges_that_share_endpoints(self):
+        g = gen_bounded_degree(derive_subseed(SEED, b"paths:bd:30:5"), 30, 5)
+        assert line_graph(g)[0].max_degree > 1
+
+    @pytest.mark.parametrize(
+        "scheme, params",
+        [
+            (s, p)
+            for s in ("uniform", "grouped", "circle")
+            for p in CHOICE_GRID
+            if s != "grouped" or p[1] >= p[2]
+        ],
+        ids=str,
+    )
+    def test_schemes_equal_from_choices(self, scheme, params):
+        tag = b"paths:%s:%d:%d:%d" % ((scheme.encode(),) + params)
+        bc = gen_bipartite_choices(derive_subseed(SEED, tag), *params, scheme)
+        _assert_same_choices(bc)
+        assert bc.choices_follow_groups == (scheme == "grouped")
+
+    @pytest.mark.parametrize("params", [p for p in CHOICE_GRID if p[0] > 0], ids=str)
+    @pytest.mark.parametrize("gaps", [False, True], ids=["even", "gaps"])
+    def test_capacity_scheme_equals_from_choices(self, params, gaps):
+        n_balls, m_bins, _ = params
+        caps = _even_capacities(n_balls, m_bins)
+        if gaps:  # every odd bin has capacity 0 and must own no draw
+            half = _even_capacities(n_balls, (m_bins + 1) // 2)
+            caps = [0 if u % 2 else half[u // 2] for u in range(m_bins)]
+        tag = b"paths:capacity:%d:%d:%d" % params
+        bc = gen_bipartite_choices(derive_subseed(SEED, tag), *params, "capacity", caps)
+        _assert_same_choices(bc)
+        assert all(caps[u] > 0 for row in bc.choices for u in row)
+
+    def test_choice_grid_repeats_bins_within_rows(self):
+        bc = gen_bipartite_choices(derive_subseed(SEED, b"paths:uniform:7:2:3"), 7, 2, 3)
+        assert any(len(set(row)) < len(row) for row in bc.choices)
+
+
 class TestTextFormats:
     def test_hypergraph_roundtrip(self):
         h = gen_hypergraph(SEED, 40, 6, 4, 2)
@@ -527,6 +598,17 @@ CHOICE_BAD = [
     ((3, 4, 2, "ring"), "unknown sampling scheme 'ring'"),
 ]
 
+# Capacity vectors that a library caller may pass.  Each is rejected before any
+# draw; a vector with several faults gets the first message in this order:
+# length or total, then a negative value, then the sum.
+CAPACITY_BAD = [
+    ((2, 2, 1), [3, -1], "capacities must list one value >= 0 per bin"),
+    ((2, 2, 1), [4, -1], "capacities must list one value >= 0 per bin"),
+    ((2, 2, 1), [1, 2], "capacities sum to 3, expected n_balls=2"),
+    ((2, 2, 1), [-1, 3, 0], "capacities must cover every bin and sum to > 0"),
+    ((2, 2, 1), None, "capacity sampling needs a capacities vector"),
+]
+
 GRAPH_BAD = [
     (-1, []),
     (3, [(0, 1), (1, 3), (2, 2)]),
@@ -607,6 +689,10 @@ class TestStreamGeneratorPins:
             caps = _even_capacities(n_balls, m_bins) if scheme == "capacity" else None
             calls.append((SEED, n_balls, m_bins, d, scheme, caps))
         assert _messages(gen_bipartite_choices, calls) == [m for _, m in CHOICE_BAD]
+
+    def test_pinned_capacity_messages(self):
+        calls = [(SEED, *params, "capacity", caps) for params, caps, _ in CAPACITY_BAD]
+        assert _messages(gen_bipartite_choices, calls) == [m for _, _, m in CAPACITY_BAD]
 
     def test_pinned_graph_messages(self):
         assert _messages(LocalGraph.from_edges, GRAPH_BAD) == GRAPH_MESSAGES

@@ -37,6 +37,12 @@ class TestSeed:
         with pytest.raises(ValueError):
             Seed.from_hex("abcd")
 
+    @pytest.mark.parametrize("text", ["zz", "abc"])
+    def test_non_hex_names_the_format(self, text):
+        with pytest.raises(ValueError) as info:
+            Seed.from_hex(text)
+        assert str(info.value) == "seed must be 64 hex characters (32 bytes)"
+
     def test_rejects_negative_ensemble(self):
         with pytest.raises(ValueError):
             Seed(b"\x00" * 32, -1)
