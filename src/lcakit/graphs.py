@@ -502,13 +502,18 @@ def _bin_incidence(
 
 
 def _checked_capacities(
-    capacities: Iterable[int], m_bins: int, n_balls: int
+    capacities: Iterable[int], m_bins: int, n_balls: int, *, sampling: bool = False
 ) -> tuple[int, ...]:
+    """The capacities as ints, one per bin, each >= 0 and summing to n_balls.
+    Sampling draws in proportion to them, so it first needs a positive total."""
     caps = tuple(int(x) for x in capacities)
+    total = sum(caps)
+    if sampling and (len(caps) != m_bins or total <= 0):
+        raise ValueError("capacities must cover every bin and sum to > 0")
     if len(caps) != m_bins or any(x < 0 for x in caps):
         raise ValueError("capacities must list one value >= 0 per bin")
-    if sum(caps) != n_balls:
-        raise ValueError(f"capacities sum to {sum(caps)}, expected n_balls={n_balls}")
+    if total != n_balls:
+        raise ValueError(f"capacities sum to {total}, expected n_balls={n_balls}")
     return caps
 
 
@@ -582,14 +587,10 @@ def gen_bipartite_choices(
     if scheme == "capacity":
         if capacities is None:
             raise ValueError("capacity sampling needs a capacities vector")
-        caps = [int(x) for x in capacities]
-        total = sum(caps)
-        if len(caps) != m_bins or total <= 0:
-            raise ValueError("capacities must cover every bin and sum to > 0")
-        caps = _checked_capacities(caps, m_bins, n_balls)
-        # owner[r] is the bin whose share of [0, total) holds r
+        caps = _checked_capacities(capacities, m_bins, n_balls, sampling=True)
+        # owner[r] is the bin whose share of [0, n_balls) holds r
         owner = list(chain.from_iterable(map(repeat, range(m_bins), caps)))
-        return built(list(map(owner.__getitem__, stream._randranges([total] * k))), caps)
+        return built(list(map(owner.__getitem__, stream._randranges([n_balls] * k))), caps)
     if scheme == "circle":
         positions = tuple(stream._randoms(m_bins))
         return built(_nearest_bins(positions, stream._randoms(k)), positions=positions)

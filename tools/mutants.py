@@ -13,12 +13,11 @@ pytest run is killed after TIMEOUT_S seconds; a mutant whose run is killed
 counts as caught, since its tests did not pass (one made the closure walk
 loop without bound).  Standard library only; run it from anywhere:
 
-    python3 tools/mutants.py [NAME ...]
+    python3 tools/mutants.py
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import signal
@@ -95,8 +94,8 @@ MUTANTS = [
         (
             "tests/test_ranks.py::TestSeed::test_non_hex_names_the_format[zz]",
             "tests/test_ranks.py::TestSeed::test_non_hex_names_the_format[abc]",
-            "tests/test_cli.py::TestExitCodes::test_non_hex_seed_names_the_format[flag]",
-            "tests/test_cli.py::TestExitCodes::test_non_hex_seed_names_the_format[env]",
+            "tests/test_cli.py::TestExitCodes::test_invalid_seed_is_usage_error",
+            "tests/test_cli.py::TestExitCodes::test_non_hex_seed_env_names_the_format",
         ),
     ),
     Mutant(
@@ -150,6 +149,7 @@ MUTANTS = [
         ),
     ),
 ]
+assert all(m.tests for m in MUTANTS), "every mutant names the tests that must fail"
 
 
 def _run_tests(work: Path, tests: list[str]) -> set[str] | None:
@@ -169,15 +169,7 @@ def _run_tests(work: Path, tests: list[str]) -> set[str] | None:
     return {line.split(" ", 1)[1].strip() for line in out.splitlines() if line.startswith("PASSED ")}
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    args = parser.parse_args(argv)
-    unknown = set(args.names) - {m.name for m in MUTANTS}
-    if unknown:
-        parser.error(f"unknown mutants: {sorted(unknown)}")
-    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
-
+def main() -> int:
     problems = []
     with tempfile.TemporaryDirectory(prefix="lcakit-mutants-") as tmp:
         work = Path(tmp)
@@ -186,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
             shutil.copytree(ROOT / part, work / part, ignore=skip)
         shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
 
-        for m in chosen:
+        for m in MUTANTS:
             count = (work / m.path).read_text().count(m.old)
             if count != 1:
                 problems.append(f"{m.name}: its text occurs {count} times in {m.path}")
@@ -194,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
             print("\n".join(problems))
             return 1
 
-        named = sorted({t for m in chosen for t in m.tests})
+        named = sorted({t for m in MUTANTS for t in m.tests})
         passed = _run_tests(work, named)
         missing = named if passed is None else [t for t in named if t not in passed]
         for t in missing:
@@ -204,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         print(f"unmutated copy: {len(named)} named tests pass")
 
-        for m in chosen:
+        for m in MUTANTS:
             target = work / m.path
             original = target.read_text()
             target.write_text(original.replace(m.old, m.new))
@@ -216,8 +208,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"caught   {m.name} (killed after {TIMEOUT_S} s)")
                 continue
             survivors = [t for t in m.tests if t in passed]
-            if survivors or not m.tests:
-                problems.append(f"{m.name}: still pass: {survivors or 'no tests named'}")
+            if survivors:
+                problems.append(f"{m.name}: still pass: {survivors}")
                 print(f"SURVIVED {m.name}")
             else:
                 print(f"caught   {m.name} ({len(m.tests)} tests fail)")
