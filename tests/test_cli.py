@@ -412,6 +412,11 @@ REPORT_CASES = {
                                      "--trials", "2"], 0),
     "matching": (["matching", "--n", "60", "--d", "3", "--trials", "2"], 0),
     "matching-edge": (["matching", "--n", "60", "--d", "3", "--edge", "0,29"], 0),
+    "matching-kwise": (["matching", "--n", "60", "--d", "3", "--ordering", "kwise",
+                        "--kwise-k", "4", "--trials", "2"], 0),
+    # a degree-0 polynomial: every rank value ties, so order falls to edge ids
+    "matching-kwise-ties": (["matching", "--n", "60", "--d", "3", "--ordering", "kwise",
+                             "--kwise-k", "1", "--trials", "2"], 0),
     "tree-stats": (["tree-stats", "--n", "64", "--d", "3", "--instances", "2",
                     "--queries", "30", "--thresholds", "4,8"], 0),
     "lower-bound": (["lower-bound", "--path-len", "3", "--trials", "500"], 0),
@@ -542,6 +547,22 @@ REPORT_DIGESTS = {
     ('matching-edge', 'csv'): (
         "fb77969e57f1bacf65b4e7bab08479f0319917338060b5c3c0800d42ffbff077",
         "1cdf0de2657c0afc751f0d7c64ecf7692cc7aaf1f5643ec10592ed667039c596",
+    ),
+    ('matching-kwise', 'json'): (
+        "29e03cf94a9b64bcd521a012ec183171073e93c2eee76f2a19c8d262cd7491a9",
+        "9851668192b6d085051c032e474fd31442cd0a3077afa1aa488b490e8e2373c9",
+    ),
+    ('matching-kwise', 'csv'): (
+        "62b6fae665a28346dffa94bf43a30cc6ac60e12abe441b4969896fbd976daf9d",
+        "4e142711e28ca6a31357f84be23dbb5cc1fc6a73cfb5a5abf3bf0cc3f0d9fe9d",
+    ),
+    ('matching-kwise-ties', 'json'): (
+        "024266c06be3d365c3c63b48fc8b26e005c32706f3cf69bf3c3f7bfb12a6d51e",
+        "859e37280ec046da8635536a0310a40a8c132cea47750bc5cfb9626968ff5a35",
+    ),
+    ('matching-kwise-ties', 'csv'): (
+        "2dbf5e75da71eda6ed1a87771af7034d49c244166106fb4befe905b0c71dff8d",
+        "95438abf20a009bc7bfa4eff9b04e69c4f01c511e879d86269f25416439290a6",
     ),
     ('tree-stats', 'json'): (
         "2101b31fae6990660a7e56954463c63cbb52d08b885c95f77701b562592aee2f",
