@@ -12,11 +12,11 @@ If the relevant set exceeds its cap the query is a counted failure and the
 ball falls back to a seed-derived uniform choice among its own d bins, so
 even failures are deterministic and query-order oblivious.
 
-The batch, :func:`assign_all`, walks no closures.  It ranks every ball in
-one bulk call and sorts the ball ids by those integer values.  One pass in
-that order places every ball and tells each ball's closure size from a memo
-of one closure per bin, which gives the cold walk's ``failed`` flag and
-probes; balls over the cap are answered by :func:`assign_query`.
+The batch, :func:`assign_all`, walks no closures.  It keys every ball in
+one bulk call and sorts the ball ids by those keys.  One pass in that order
+places every ball and tells each ball's closure size from a memo of one
+closure per bin, which gives the cold walk's ``failed`` flag and probes;
+balls over the cap are answered by :func:`assign_query`.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .ranks import (
     Seed,
     random_in_range,
     rank_key_fn,
-    rank_values,
+    rank_keys,
 )
 
 # Multiplier for the default exploration cap, calibrated so the measured
@@ -248,9 +248,8 @@ def assign_all(
 ) -> tuple[list[Assignment], LoadProfile]:
     """Every ball's :func:`assign_query` answer, from one pass in rank order.
 
-    * Order: every ball's rank value comes from one
-      :func:`~lcakit.ranks.rank_values` call, and a stable sort of the ball
-      ids by value breaks ties by ball id, as the rank's owner tie-break does.
+    * Order: every ball's rank key comes from one
+      :func:`~lcakit.ranks.rank_keys` call.
     * Bins: the pass places balls into global loads as :func:`run_global`
       does, so a ball whose closure fits ``cap`` gets the bin its cold
       replay computes.
@@ -265,14 +264,13 @@ def assign_all(
     * Over cap: such closures are not kept, and a ball that chose a bin
       whose memo is over cap is over cap too.  Each over-cap ball is
       answered by :func:`assign_query` itself, so its fallback bin and
-      truncated-walk probes are the cold query's.  Their walks read rank
-      keys from the batch's values, so no ball is hashed twice.
+      truncated-walk probes are the cold query's.  Their walks read the
+      batch's keys, so no ball is hashed twice.
     """
     rule.validate(bc)
     if cap is None:
         cap = default_cap(bc.m_bins)
-    values = rank_values(seed, kind, range(bc.n_balls), max(bc.n_balls, 1))
-    key_of = lambda b: (values[b], b)  # noqa: E731
+    key_of = rank_keys(seed, kind, range(bc.n_balls), max(bc.n_balls, 1)).__getitem__
     per_member = 1 + bc.d  # probes per closure member
     loads = [0] * bc.m_bins
     load_of = loads.__getitem__
@@ -280,7 +278,7 @@ def assign_all(
     # or None once that closure is over cap
     latest: list[tuple[int, ...] | None] = [()] * bc.m_bins
     out: list[Assignment | None] = [None] * bc.n_balls
-    for b in sorted(range(bc.n_balls), key=values.__getitem__):
+    for b in sorted(range(bc.n_balls), key=key_of):
         u = rule.choose(bc, b, load_of)
         loads[u] += 1
         choices = bc.choices_of(b)

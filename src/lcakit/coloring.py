@@ -226,7 +226,7 @@ class QueryState:
         # committed values across all phases
         self.final: dict[int, int] = {}
         self.phase_of: dict[int, int] = {}
-        self._edge_order: dict[int, list[tuple[tuple[int, int], int]]] = {}
+        self._edge_order: dict[int, list[tuple[int, int]]] = {}
         self._surv1: dict[int, bool] = {}
         self._comps: dict[tuple[int, int], tuple[int, ...]] = {}
         self._phase_cache: dict = {}

@@ -84,7 +84,7 @@ def eval_local(
     kind: OrderingKind = FullPseudorandom(),
     cap: int = 1 << 20,
     inputs=None,
-    rank_map: Callable[[int], tuple[int, int]] | None = None,
+    rank_map: Callable[[int], int] | None = None,
 ) -> tuple[Any, EvalTrace]:
     """Output of the online rule at v0, deciding only what its rules read.
 
@@ -127,7 +127,7 @@ def eval_global(
     seed: Seed,
     kind: OrderingKind = FullPseudorandom(),
     inputs=None,
-    rank_map: Callable[[int], tuple[int, int]] | None = None,
+    rank_map: Callable[[int], int] | None = None,
 ) -> EvalTrace:
     """Run the online rule over the full arrival order (the oracle)."""
     key_of = rank_map if rank_map is not None else rank_key_fn(seed, kind, g.n)

@@ -79,7 +79,7 @@ class RelevantSet:
 def _closure(
     adj: Callable[[int], Sequence[int]],
     root: int,
-    key_of: Callable[[int], tuple[int, int]],
+    key_of: Callable[[int], int],
     cap: int,
 ):
     """BFS decreasing-rank closure.
@@ -92,7 +92,7 @@ def _closure(
 
     An item is keyed again at each comparison and in the sort, so
     ``key_of`` must not rank it again: it caches, as the functions of
-    :func:`~lcakit.ranks.rank_key_fn` do, or reads values ranked up front,
+    :func:`~lcakit.ranks.rank_key_fn` do, or reads keys ranked up front,
     as ``assign_all``'s does.  A neighbor rejected from one parent may still
     join later via a higher-ranked parent; rejection is never memorized.
     """
@@ -157,7 +157,7 @@ def explore(
         raise ValueError(f"root {root} out of range for n={g.n}")
     key_of = rank_key_fn(seed, kind, g.n)
     order, probes, truncated = _closure(g.neighbors, root, key_of, cap)
-    members = tuple((v, Rank(*key_of(v))) for v in order)
+    members = tuple((v, Rank(*divmod(key_of(v), g.n))) for v in order)
     return RelevantSet(root, members, probes, truncated)
 
 

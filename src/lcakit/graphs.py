@@ -284,9 +284,6 @@ class CnfFormula:
         var_sets = [[v for v, _ in lits] for lits in cleaned]
         return cls(m, len(cleaned), k, tuple(cleaned), *_incidence(m, var_sets))
 
-    def vars_of(self, c: int) -> tuple[int, ...]:
-        return self.clause_vars[c]
-
     def clauses_of(self, v: int) -> tuple[int, ...]:
         if not 0 <= v < self.m:
             raise ValueError(f"variable {v} out of range for m={self.m}")
@@ -504,9 +501,12 @@ def _bin_incidence(
 def _checked_capacities(
     capacities: Iterable[int], m_bins: int, n_balls: int, *, sampling: bool = False
 ) -> tuple[int, ...]:
-    """The capacities as ints, one per bin, each >= 0 and summing to n_balls.
-    Sampling draws in proportion to them, so it first needs a positive total."""
-    caps = tuple(int(x) for x in capacities)
+    """The capacities as ints (never truncated), one per bin, each >= 0 and
+    summing to n_balls.  Sampling first needs a positive total."""
+    given = tuple(capacities)
+    caps = tuple(map(int, given))
+    if caps != given:
+        raise ValueError("capacities must be whole numbers")
     total = sum(caps)
     if sampling and (len(caps) != m_bins or total <= 0):
         raise ValueError("capacities must cover every bin and sum to > 0")

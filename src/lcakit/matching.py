@@ -8,13 +8,12 @@ reproduces the global verdict exactly and reports what the walk cost.  The
 batch (:func:`full_matching`) decides every edge once instead: an edge is
 matched iff none of its lower-ranked neighbors is, so it checks them in
 ascending rank, stops at the first matched one, and keeps every verdict in
-one memo shared by the whole batch.  It ranks all edges in one bulk call,
-keys each edge by one integer that orders as its rank does, and finds an
-edge's lower-ranked neighbors as prefixes of sorted per-vertex key lists.
-Edge ranks derive from the packed edge id ``min * n + max`` over a universe
-of n*n ids, so they are independent of the endpoint ranks and of how the
-edge was reached.  Both paths run over those packed ids, the same integers
-the ranks hash; edge tuples appear only at the public boundary.
+one memo shared by the whole batch.  It keys all edges in one bulk call and
+finds an edge's lower-ranked neighbors as prefixes of sorted per-vertex key
+lists.  Edge ranks derive from the packed edge id ``min * n + max`` over a
+universe of n*n ids, so they are independent of the endpoint ranks and of
+how the edge was reached.  Both paths run over those packed ids, the same
+integers the ranks hash; edge tuples appear only at the public boundary.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import Callable, Iterable
 
 from .exploration import TruncationError, _closure
 from .graphs import LocalGraph
-from .ranks import FullPseudorandom, OrderingKind, Seed, rank_key_fn, rank_values
+from .ranks import FullPseudorandom, OrderingKind, Seed, rank_key_fn, rank_keys
 
 Edge = tuple[int, int]
 
@@ -49,7 +48,7 @@ def is_matched(
     seed: Seed,
     kind: OrderingKind = FullPseudorandom(),
     cap: int = 1 << 20,
-    _key_of: Callable[[int], tuple[int, int]] | None = None,
+    _key_of: Callable[[int], int] | None = None,
 ) -> MatchVerdict:
     """Whether edge e is in the greedy matching under this seed.
 
@@ -120,16 +119,14 @@ def full_matching(
 ) -> frozenset[Edge]:
     """The greedy matching, with every edge decided once.
 
-    Every edge is ranked once, in one :func:`~lcakit.ranks.rank_values`
-    call, and keyed by the integer ``value * n*n + packed_id``, which orders
-    as ``(value, owner)`` does because every packed id is below n*n.  Each
-    vertex keeps its edges' keys sorted, so an edge's lower-ranked neighbors
-    are the two prefixes below its key at its endpoints.  Edges are queried
-    in ``g.edges()`` order against one verdict memo.  An edge is matched iff
-    none of its lower-ranked neighbors is matched; they are checked in
-    ascending rank, and the check stops at the first matched one.  A
-    neighbor the memo has not decided yet is decided first, on an explicit
-    stack, so depth never meets Python's recursion limit.
+    Every edge is keyed once, in one :func:`~lcakit.ranks.rank_keys` call,
+    and each vertex keeps its edges' keys sorted, so an edge's lower-ranked
+    neighbors are the two prefixes below its key at its endpoints.  Edges
+    are queried in ``g.edges()`` order against one verdict memo.  An edge
+    is matched iff none of its lower-ranked neighbors is matched; they are
+    checked in ascending rank, and the check stops at the first matched
+    one.  A neighbor the memo has not decided yet is decided first, on an
+    explicit stack, so depth never meets Python's recursion limit.
 
     Cap rule: a query whose decision needs more than ``cap`` edges that the
     memo has not decided yet, itself included, aborts the call with
@@ -143,7 +140,7 @@ def full_matching(
     nn = n * n
     higher = [nbrs[bisect_right(nbrs, u) :] for u, nbrs in enumerate(g.adjacency)]
     ids = [u * n + v for u, vs in enumerate(higher) for v in vs]  # g.edges() order
-    roots = [r * nn + x for r, x in zip(rank_values(seed, kind, ids, nn), ids)]
+    roots = rank_keys(seed, kind, ids, nn)
     at: list[list[int]] = [[] for _ in range(n)]  # keys of u's edges, ascending
     i = 0
     for u, vs in enumerate(higher):

@@ -8,7 +8,8 @@ both of which are stable across platforms and Python versions.
 Ranks are 64-bit unsigned integers standing in for arrival times in [0, 1)
 (a rank ``r`` corresponds to the real number ``r / 2**64``).  Ties between
 distinct items are broken by owner id, so any set of ranked items is always
-strictly totally ordered.
+strictly totally ordered; :func:`rank_key_fn` and :func:`rank_keys` give that
+order as one integer per item, and no other module builds such a key.
 """
 
 from __future__ import annotations
@@ -384,46 +385,47 @@ def rank_of(seed: Seed, kind: OrderingKind, item: int, universe: int) -> Rank:
     return Rank(_kwise_value_fn(seed, kind, universe)(item), item)
 
 
-def rank_values(
+def rank_keys(
     seed: Seed, kind: OrderingKind, items: Sequence[int], universe: int
 ) -> list[int]:
-    """Rank value of each item, in order: ``[key_of(x)[0] for x in items]``
-    for ``key_of = rank_key_fn(seed, kind, universe)``, with no cache and no
-    tuples.  For a batch that needs each rank once; ties are the caller's to
-    break by owner id.  Full-pseudorandom values go through the module
-    global ``_rank_value``, so a wrapped one sees every hash."""
+    """Rank key of each item, in order: ``[key_of(x) for x in items]`` for
+    ``key_of = rank_key_fn(seed, kind, universe)``, with no cache.  For a
+    batch that needs each rank once.  Full-pseudorandom values go through
+    the module global ``_rank_value``, so a wrapped one sees every hash."""
     if isinstance(kind, FullPseudorandom):
-        return list(map(_rank_value, repeat(_rank_state(seed)), items, repeat(universe)))
-    return list(map(_kwise_value_fn(seed, kind, universe), items))
+        values = map(_rank_value, repeat(_rank_state(seed)), items, repeat(universe))
+    else:
+        values = map(_kwise_value_fn(seed, kind, universe), items)
+    return [r * universe + x for r, x in zip(values, items)]
 
 
 def rank_key_fn(seed: Seed, kind: OrderingKind, universe: int):
-    """Return a cached ``item -> (value, owner)`` function.
-
-    Whatever depends only on the arguments (the keyed BLAKE2b state, or the
-    k-wise coefficients) is bound once here, so each miss pays for one hash
-    or one polynomial.  The cache is local to the returned closure; sharing
-    one closure across the queries of a run avoids rehashing without any
-    cross-run state.
+    """Return a cached ``item -> value * universe + item`` function: the one
+    integer key every caller orders items by.  It orders as ``Rank`` does,
+    since every item is below ``universe``, and ``divmod(key, universe)`` is
+    ``(value, item)``.  The keyed BLAKE2b state or the k-wise coefficients
+    are bound once here, so each miss pays for one hash or one polynomial.
+    The cache is local to the returned closure; sharing one closure across
+    a run's queries avoids rehashing without any cross-run state.
     """
-    cache: dict[int, tuple[int, int]] = {}
+    cache: dict[int, int] = {}
     if isinstance(kind, FullPseudorandom):
         state = _rank_state(seed)
 
-        def key(item: int) -> tuple[int, int]:
+        def key(item: int) -> int:
             got = cache.get(item)
             if got is None:
                 # the module global, so a wrapped _rank_value sees every hash
-                got = cache[item] = (_rank_value(state, item, universe), item)
+                got = cache[item] = _rank_value(state, item, universe) * universe + item
             return got
 
         return key
     value = _kwise_value_fn(seed, kind, universe)
 
-    def kwise_key(item: int) -> tuple[int, int]:
+    def kwise_key(item: int) -> int:
         got = cache.get(item)
         if got is None:
-            got = cache[item] = (value(item), item)
+            got = cache[item] = value(item) * universe + item
         return got
 
     return kwise_key

@@ -92,7 +92,7 @@ def phase1_reference(view_kind, inst, state):
     first_color = {}
     if view_kind == "cnf":
         want = [dict(cl) for cl in inst.clauses]
-        members = inst.vars_of
+        members = inst.clause_vars.__getitem__
         cons_of = inst.clauses_of
     else:
         members = inst.vertices_of

@@ -167,7 +167,7 @@ class TestCnf:
 
     def test_vars_of_clauses_of(self):
         f = CnfFormula.from_clauses(3, [[(0, True), (2, False)]])
-        assert f.vars_of(0) == (0, 2)
+        assert f.clause_vars[0] == (0, 2)
         assert f.clauses_of(2) == (0,)
         assert f.clauses_of(1) == ()
 
@@ -207,6 +207,18 @@ class TestBipartiteChoices:
     def test_capacity_sum_validated(self):
         with pytest.raises(ValueError, match="sum"):
             BipartiteChoices.from_choices(3, 2, 1, [(0,), (1,), (0,)], capacities=[1, 1])
+
+    @pytest.mark.parametrize("caps", [[1.9, 0.9], [1.5, 1.5], [2.5, -0.5]])
+    def test_fractional_capacities_are_refused_not_truncated(self, caps):
+        # int() would read [1.9, 0.9] as a sum of 1 and [1.5, 1.5] as (1, 1)
+        with pytest.raises(ValueError, match="^capacities must be whole numbers$"):
+            gen_bipartite_choices(SEED, 2, 2, 1, "capacity", caps)
+        with pytest.raises(ValueError, match="^capacities must be whole numbers$"):
+            BipartiteChoices.from_choices(2, 2, 1, [(0,), (1,)], capacities=caps)
+
+    def test_whole_float_capacities_are_ints(self):
+        bc = BipartiteChoices.from_choices(2, 2, 1, [(0,), (1,)], capacities=[1.0, 1.0])
+        assert bc.capacities == (1, 1) and all(type(c) is int for c in bc.capacities)
 
     def test_capacity_scheme_prefers_large_bins(self):
         caps = [9996] + [1] * 4

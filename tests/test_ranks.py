@@ -22,8 +22,8 @@ from lcakit.ranks import (
     polynomial_rank,
     random_in_range,
     rank_key_fn,
+    rank_keys,
     rank_of,
-    rank_values,
 )
 
 SEED = Seed.from_hex("5eed" * 16)
@@ -298,9 +298,14 @@ class TestKeyedHashing:
         )
 
 
+# A prime above every universe the key tests draw, up to 2**64.
+_PRIME_ABOVE_U64 = next_prime(2**64 + 1)
+
+
 class TestKeyFunctions:
     """A key function binds its keyed state (or its k-wise coefficients)
-    once; every rank it hands out must equal one computed from scratch."""
+    once; every key it hands out must equal ``value * universe + item`` for
+    the value computed from scratch."""
 
     @settings(max_examples=200)
     @given(
@@ -318,10 +323,10 @@ class TestKeyFunctions:
             ref.update(len(b"rank").to_bytes(2, "big"))
             ref.update(b"rank")
             ref.update(item.to_bytes(8, "big"))
-            expected = (int.from_bytes(ref.digest(), "big"), item)
-            assert key_of(item) == expected
-            assert key_of(item) == expected  # cached
-            assert rank_of(seed, FullPseudorandom(), item, universe) == Rank(*expected)
+            value = int.from_bytes(ref.digest(), "big")
+            assert key_of(item) == value * universe + item
+            assert key_of(item) == value * universe + item  # cached
+            assert rank_of(seed, FullPseudorandom(), item, universe) == Rank(value, item)
 
     @settings(max_examples=100)
     @given(
@@ -338,7 +343,7 @@ class TestKeyFunctions:
         key_of = rank_key_fn(seed, KWiseIndependent(k, prime), universe)
         for item in data.draw(st.lists(st.integers(0, universe - 1), max_size=5)):
             naive = sum(a * item**i for i, a in enumerate(coeffs)) % prime
-            assert key_of(item) == ((naive << 64) // prime, item)
+            assert key_of(item) == ((naive << 64) // prime) * universe + item
 
     @pytest.mark.parametrize("kind", [FullPseudorandom(), KWiseIndependent(2, 17)])
     @pytest.mark.parametrize("item", [-1, 16, 10**30])
@@ -348,7 +353,7 @@ class TestKeyFunctions:
         with pytest.raises(ValueError, match="outside declared universe") as keyed:
             rank_key_fn(SEED, kind, 16)(item)
         with pytest.raises(ValueError) as bulk:
-            rank_values(SEED, kind, [0, item], 16)
+            rank_keys(SEED, kind, [0, item], 16)
         assert str(bulk.value) == str(keyed.value)
 
     @pytest.mark.parametrize(
@@ -356,16 +361,35 @@ class TestKeyFunctions:
         [FullPseudorandom(), KWiseIndependent(3, 1009), KWiseIndependent(1, 1009)],
         ids=["full", "kwise", "degree-0"],
     )
-    def test_rank_values_are_the_key_values(self, kind):
+    def test_rank_keys_are_the_cached_keys(self, kind):
         items = [5, 0, 999, 17, 5, 998, 3]
         key_of = rank_key_fn(SEED, kind, 1000)
-        want = [key_of(x)[0] for x in items]
-        assert rank_values(SEED, kind, items, 1000) == want
-        assert rank_values(SEED, kind, range(1000), 1000) == [key_of(x)[0] for x in range(1000)]
+        want = [key_of(x) for x in items]
+        assert rank_keys(SEED, kind, items, 1000) == want
+        assert rank_keys(SEED, kind, range(1000), 1000) == [key_of(x) for x in range(1000)]
         if kind == KWiseIndependent(1, 1009):
-            assert len(set(want)) == 1  # a constant polynomial: every value ties
+            # a constant polynomial: every value ties, so keys order by item
+            assert len({k // 1000 for k in want}) == 1
 
-    def test_rank_values_hash_each_item_once(self, monkeypatch):
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(
+            [FullPseudorandom(), KWiseIndependent(3, _PRIME_ABOVE_U64),
+             KWiseIndependent(1, _PRIME_ABOVE_U64)]
+        ),
+        st.integers(1, 2**64),
+        st.data(),
+    )
+    def test_key_reads_back_and_orders_as_rank(self, kind, universe, data):
+        items = data.draw(st.lists(st.integers(0, universe - 1), max_size=8, unique=True))
+        key_of = rank_key_fn(SEED, kind, universe)
+        ranked = {x: rank_of(SEED, kind, x, universe) for x in items}
+        for x in items:
+            assert divmod(key_of(x), universe) == (ranked[x].value, x)
+        assert sorted(items, key=key_of) == sorted(items, key=ranked.__getitem__)
+        assert rank_keys(SEED, kind, items, universe) == [key_of(x) for x in items]
+
+    def test_rank_keys_hash_each_item_once(self, monkeypatch):
         # the module global, so a wrapped _rank_value (the traced
         # ``ranks.full_key`` span) sees every hash, in item order
         real = ranks._rank_value
@@ -376,9 +400,9 @@ class TestKeyFunctions:
             return real(state, item, universe)
 
         items = list(range(0, 300, 7))[::-1]
-        want = rank_values(SEED, FullPseudorandom(), items, 300)
+        want = rank_keys(SEED, FullPseudorandom(), items, 300)
         monkeypatch.setattr(ranks, "_rank_value", counting)
-        assert rank_values(SEED, FullPseudorandom(), items, 300) == want
+        assert rank_keys(SEED, FullPseudorandom(), items, 300) == want
         assert hashed == items
 
     @pytest.mark.parametrize("universe", [11, 12, 50])
@@ -391,7 +415,7 @@ class TestKeyFunctions:
             with pytest.raises(ValueError, match="must exceed the universe"):
                 key_of(item)
             with pytest.raises(ValueError, match="must exceed the universe"):
-                rank_values(SEED, kind, [item], universe)
+                rank_keys(SEED, kind, [item], universe)
 
     def test_cold_matching_query_hashes_each_edge_once(self, monkeypatch):
         # ranks._rank_value is the one per-item hash entry (the traced

@@ -40,6 +40,8 @@ class Mutant(NamedTuple):
 
 
 GRAPHS = "src/lcakit/graphs.py"
+MATCHING = "src/lcakit/matching.py"
+RANKS = "src/lcakit/ranks.py"
 
 MUTANTS = [
     Mutant(
@@ -87,7 +89,7 @@ MUTANTS = [
     ),
     Mutant(
         "seed-non-hex-passes-through",
-        "src/lcakit/ranks.py",
+        RANKS,
         '        except ValueError:  # not hex at all: same message as a wrong length\n'
         '            key = b""\n',
         "        except ValueError:\n            raise\n",
@@ -100,7 +102,7 @@ MUTANTS = [
     ),
     Mutant(
         "full-matching-cap-one-late",
-        "src/lcakit/matching.py",
+        MATCHING,
         "                if fresh == cap:\n",
         "                if fresh > cap:\n",
         (
@@ -110,7 +112,7 @@ MUTANTS = [
     ),
     Mutant(
         "greedy-oracle-swapped-key",
-        "src/lcakit/matching.py",
+        MATCHING,
         "key=lambda e: key_of(e[0] * n + e[1])",
         "key=lambda e: key_of(e[1] * n + e[0])",
         (
@@ -130,13 +132,75 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "ball-ties-to-higher-id",
-        "src/lcakit/ballsbins.py",
-        "for b in sorted(range(bc.n_balls), key=values.__getitem__):",
-        "for b in sorted(range(bc.n_balls - 1, -1, -1), key=values.__getitem__):",
+        "bulk-key-ties-to-higher-id",
+        RANKS,
+        "    return [r * universe + x for r, x in zip(values, items)]",
+        "    return [r * universe + universe - 1 - x for r, x in zip(values, items)]",
         (
             "tests/test_ballsbins.py::TestAssignAll::test_equals_per_ball_queries",
             "tests/test_ballsbins.py::test_all_ties_fall_to_ball_id",
+            "tests/test_matching.py::test_all_ties_fall_to_packed_id",
+            "tests/test_ranks.py::TestKeyFunctions::test_rank_keys_are_the_cached_keys[degree-0]",
+        ),
+    ),
+    Mutant(
+        "key-without-owner-term",
+        RANKS,
+        "            got = cache[item] = value(item) * universe + item",
+        "            got = cache[item] = value(item) * universe",
+        (
+            "tests/test_ranks.py::TestKeyFunctions::test_kwise_key_equals_naive_polynomial",
+            "tests/test_ranks.py::TestKeyFunctions::test_key_reads_back_and_orders_as_rank",
+            "tests/test_matching.py::test_all_ties_fall_to_packed_id",
+            "tests/test_cli.py::test_pinned_report[matching-kwise-ties-json]",
+        ),
+    ),
+    Mutant(
+        "capacities-truncated",
+        GRAPHS,
+        "    caps = tuple(map(int, given))",
+        "    caps = given = tuple(map(int, given))",
+        (
+            "tests/test_graphs.py::TestBipartiteChoices::test_fractional_capacities_are_refused_not_truncated[caps0]",
+            "tests/test_graphs.py::TestBipartiteChoices::test_fractional_capacities_are_refused_not_truncated[caps1]",
+        ),
+    ),
+    Mutant(
+        "full-matching-highest-first",
+        MATCHING,
+        "        lows.sort(reverse=True)",
+        "        lows.sort()",
+        ("tests/test_matching.py::test_pinned_full_matching",),
+    ),
+    Mutant(
+        "matching-adjacency-one-endpoint",
+        MATCHING,
+        "for u in divmod(x, n) for w in nbrs(u)",
+        "for u in divmod(x, n)[:1] for w in nbrs(u)",
+        (
+            "tests/test_matching.py::TestIsMatched::test_triangle_only_lowest_rank_matched",
+            "tests/test_matching.py::test_pinned_verdicts",
+            "tests/test_cli.py::test_pinned_report[matching-edge-json]",
+        ),
+    ),
+    Mutant(
+        "ball-probes-one-plus-d-scans",
+        "src/lcakit/ballsbins.py",
+        "    probes = (1 + bc.d) * scans",
+        "    probes = 1 + bc.d * scans",
+        (
+            "tests/test_ballsbins.py::TestAssignQuery::test_probes_count_whole_scans[2]",
+            "tests/test_ballsbins.py::test_pinned_assignments[least-loaded]",
+        ),
+    ),
+    Mutant(
+        "lower-bound-walk-one-short",
+        "src/lcakit/exploration.py",
+        "        order, _, _ = _closure(g.neighbors, 0, key_of, path_len)",
+        "        order, _, _ = _closure(g.neighbors, 0, key_of, path_len - 1)",
+        (
+            "tests/test_exploration.py::TestLowerBoundExperiment::test_two_vertex_path_near_half",
+            "tests/test_cli.py::test_pinned_report[lower-bound-json]",
         ),
     ),
     Mutant(
