@@ -264,7 +264,7 @@ def criterion_5() -> tuple[bool, dict]:
         ("regular", Regular(3, 9)),
         ("binomial", Binomial(10**4, 3 / (9 * 10**4))),
     ):
-        samples = gw_sizes(derive_subseed(seed, b"c5:" + label.encode()), spec, trials)
+        samples = gw_sizes(derive_subseed(seed, b"c5:" + label.encode()), spec, range(trials))
         sizes = [s.size for s in samples]
         mean = sum(sizes) / trials
         slope = tail_slope(sizes, 5, 30)

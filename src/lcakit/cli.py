@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from importlib import resources
 
 import click
@@ -143,37 +144,18 @@ def _int_list(text: str, flag: str) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Experiments callable as a library
+# Per-trial workers for --jobs (top level, so that a partial of them pickles)
 # ---------------------------------------------------------------------------
 
 
-# -- parallel workers (top level so they pickle) -----------------------------
+def _gw_chunk_sizes(seed: Seed, offspring, cap: int, trials: range) -> list[int]:
+    """Tree sizes of one chunk; sizes, not samples, go back from a worker."""
+    return [sample.size for sample in exploration.gw_sizes(seed, offspring, trials, cap)]
 
 
-def _tree_stats_worker(args) -> tuple[list[int], int]:
-    (gen, n, d, queries, cap, seed_hex, instance) = args
-    spec = TreeStatsSpec(gen, n, d, instances=1, queries_per_instance=queries, cap=cap)
-    return exploration._instance_sizes(spec, Seed.from_hex(seed_hex), instance)
-
-
-def _gw_worker(args) -> list[int]:
-    (mode, d, big_l, n, q, cap, seed_hex, lo, hi) = args
-    seed = Seed.from_hex(seed_hex)
-    spec = Regular(d, big_l) if mode == "regular" else Binomial(n, q)
-    out = []
-    for t in range(lo, hi):
-        sample = exploration.sample_gw_tree(
-            derive_subseed(seed, b"gw:%d" % t), spec, cap
-        )
-        out.append(sample.size)
-    return out
-
-
-def _coloring_worker(args) -> dict:
+def _coloring_worker(kind, m, n, k, d, lenient, inst, seed: Seed, trial: int) -> dict:
     """One trial; ``inst`` is the ``--input`` instance, or None to generate."""
-    (kind, m, n, k, d, lenient, seed_hex, trial, inst) = args
     problem = coloring.PROBLEMS[kind]
-    seed = Seed.from_hex(seed_hex)
     iseed = derive_subseed(seed, b"instance:%d" % trial)
     rseed = derive_subseed(seed, b"ranks:%d" % trial)
     params = coloring.ColoringParams(lenient=lenient)
@@ -196,9 +178,7 @@ def _coloring_worker(args) -> dict:
     return out
 
 
-def _ballsbins_worker(args) -> dict:
-    (n, m, d, rule_name, caps, cap, trial, seed_hex) = args
-    seed = Seed.from_hex(seed_hex)
+def _ballsbins_worker(n, m, d, rule_name, caps, cap, seed: Seed, trial: int) -> dict:
     rule = ballsbins.RULES[rule_name]
     bc = graphs.gen_bipartite_choices(
         derive_subseed(seed, b"instance:%d" % trial), n, m, d, rule.scheme, capacities=caps
@@ -239,14 +219,15 @@ def main(ctx, seed, fmt, out, jobs):
         raise click.UsageError(str(exc))
     if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
         raise click.BadParameter(f"directory of {out!r} does not exist", param_hint="--out")
-    ctx.obj = {"seed": parsed, "seed_hex": parsed.hex(), "fmt": fmt, "out": out, "jobs": jobs}
+    ctx.obj = {"seed": parsed, "fmt": fmt, "out": out, "jobs": jobs, "t0": time.time()}
 
 
-def _finish(ctx, subcommand: str, spec: dict, results: dict, csv_rows=None, t0=None):
-    report = _report(subcommand, spec, results)
-    _emit(report, ctx.obj["out"], ctx.obj["fmt"], csv_rows)
-    if t0 is not None:
-        click.echo(f"[{subcommand}] wall clock {time.time() - t0:.2f}s", err=True)
+def _finish(ctx, subcommand: str, spec: dict, results: dict, csv_rows=None):
+    """Emit the report, with the run's seed hex added to ``spec`` as
+    ``"seed"``, then print the wall clock since :func:`main` to stderr."""
+    spec = {"seed": ctx.obj["seed"].hex(), **spec}
+    _emit(_report(subcommand, spec, results), ctx.obj["out"], ctx.obj["fmt"], csv_rows)
+    click.echo(f"[{subcommand}] wall clock {time.time() - ctx.obj['t0']:.2f}s", err=True)
 
 
 @main.command("tree-stats")
@@ -260,14 +241,12 @@ def _finish(ctx, subcommand: str, spec: dict, results: dict, csv_rows=None, t0=N
 @click.pass_context
 def tree_stats_cmd(ctx, generator, n, d, instances, queries, cap, thresholds):
     """Relevant-set size statistics over many (instance, root) trials."""
-    t0 = time.time()
     thresh = tuple(_int_list(thresholds, "--thresholds"))
     if generator == "binomial" and d >= n:
         raise click.UsageError("binomial generator needs d < n")
-    args = [
-        (generator, n, d, queries, cap, ctx.obj["seed_hex"], i) for i in range(instances)
-    ]
-    chunks = _generate(_parallel_map, _tree_stats_worker, args, ctx.obj["jobs"])
+    experiment = TreeStatsSpec(generator, n, d, instances, queries, cap)
+    worker = partial(exploration._instance_sizes, experiment, ctx.obj["seed"])
+    chunks = _generate(_parallel_map, worker, range(instances), ctx.obj["jobs"])
     sizes: list[int] = []
     truncated = 0
     for chunk_sizes, chunk_trunc in chunks:
@@ -275,7 +254,6 @@ def tree_stats_cmd(ctx, generator, n, d, instances, queries, cap, thresholds):
         truncated += chunk_trunc
     stats = stats_from_sizes(sizes, thresh, truncated)
     spec = {
-        "seed": ctx.obj["seed_hex"],
         "generator": generator,
         "n": n,
         "d": d,
@@ -290,7 +268,6 @@ def tree_stats_cmd(ctx, generator, n, d, instances, queries, cap, thresholds):
         spec,
         stats.to_dict(),
         csv_rows=lambda: (["size", "count"], list(stats.sizes)),
-        t0=t0,
     )
 
 
@@ -307,7 +284,6 @@ def tree_stats_cmd(ctx, generator, n, d, instances, queries, cap, thresholds):
 @click.pass_context
 def gw_sim_cmd(ctx, mode, d, big_l, n, q, trials, cap, slope_range):
     """Monte-Carlo branching-tree sizes for the idealized growth process."""
-    t0 = time.time()
     if q is None:
         q = d / (n * big_l)
     if mode == "regular" and d >= big_l:
@@ -320,16 +296,11 @@ def gw_sim_cmd(ctx, mode, d, big_l, n, q, trials, cap, slope_range):
         raise click.BadParameter(
             "expected 'lo,hi' integers", param_hint="'--slope-range'"
         ) from None
+    offspring = Regular(d, big_l) if mode == "regular" else Binomial(n, q)
     jobs = ctx.obj["jobs"]
-    bounds = [trials * i // jobs for i in range(jobs + 1)]
-    args = [
-        (mode, d, big_l, n, q, cap, ctx.obj["seed_hex"], bounds[i], bounds[i + 1])
-        for i in range(jobs)
-        if bounds[i] < bounds[i + 1]
-    ]
-    sizes: list[int] = []
-    for chunk in _parallel_map(_gw_worker, args, jobs):
-        sizes.extend(chunk)
+    chunks = [range(trials * i // jobs, trials * (i + 1) // jobs) for i in range(jobs)]
+    worker = partial(_gw_chunk_sizes, ctx.obj["seed"], offspring, cap)
+    sizes = [s for chunk in _parallel_map(worker, [c for c in chunks if c], jobs) for s in chunk]
     stats = stats_from_sizes(sizes)
     try:
         slope = tail_slope(sizes, lo, hi)
@@ -339,7 +310,6 @@ def gw_sim_cmd(ctx, mode, d, big_l, n, q, trials, cap, slope_range):
     results["tail_slope"] = slope
     results["mode"] = mode
     spec = {
-        "seed": ctx.obj["seed_hex"],
         "mode": mode,
         "d": d,
         "L": big_l,
@@ -355,7 +325,6 @@ def gw_sim_cmd(ctx, mode, d, big_l, n, q, trials, cap, slope_range):
         spec,
         results,
         csv_rows=lambda: (["size", "count"], list(stats.sizes)),
-        t0=t0,
     )
 
 
@@ -371,7 +340,6 @@ def gw_sim_cmd(ctx, mode, d, big_l, n, q, trials, cap, slope_range):
 @click.pass_context
 def matching_cmd(ctx, n, d, cap, edge, trials, ordering, kwise_k, failure_budget):
     """Per-edge matching verdicts or full-matching summaries with probe stats."""
-    t0 = time.time()
     seed = ctx.obj["seed"]
     kind = _ordering(ordering, kwise_k, n * n)
     if edge is not None:
@@ -379,6 +347,8 @@ def matching_cmd(ctx, n, d, cap, edge, trials, ordering, kwise_k, failure_budget
             u, v = (int(x) for x in edge.split(","))
         except ValueError:
             raise click.UsageError("--edge must be 'u,v'")
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            raise click.UsageError(f"--edge must join two distinct vertices below --n {n}")
     per_trial = []
     failures = 0
     rows = []
@@ -429,7 +399,6 @@ def matching_cmd(ctx, n, d, cap, edge, trials, ordering, kwise_k, failure_budget
             )
     results = {"trials": trials, "failures": failures, "per_trial": per_trial}
     spec = {
-        "seed": ctx.obj["seed_hex"],
         "n": n,
         "d": d,
         "cap": cap,
@@ -444,7 +413,6 @@ def matching_cmd(ctx, n, d, cap, edge, trials, ordering, kwise_k, failure_budget
         spec,
         results,
         csv_rows=lambda: (["trial", "u", "v", "matched", "probes", "edges_evaluated"], rows),
-        t0=t0,
     )
     if failures / trials > failure_budget:
         click.echo(f"failure budget exceeded: {failures}/{trials}", err=True)
@@ -467,7 +435,6 @@ def _coloring_command(kind: str, help_text: str, input_help: str) -> None:
     @click.option("--failure-budget", type=click.FloatRange(0), default=0.01, show_default=True)
     @click.pass_context
     def command(ctx, m, n, k, d, input_path, trials, strict, failure_budget):
-        t0 = time.time()
         lenient = not strict
         inst = None
         if input_path is not None:
@@ -482,11 +449,8 @@ def _coloring_command(kind: str, help_text: str, input_help: str) -> None:
                 coloring.compute_thresholds(k, d, lenient=lenient)
         except coloring.ThresholdError as exc:
             raise click.UsageError(str(exc))
-        args = [
-            (kind, m, n, k, d, lenient, ctx.obj["seed_hex"], t, inst)
-            for t in range(trials)
-        ]
-        outs = _generate(_parallel_map, _coloring_worker, args, ctx.obj["jobs"])
+        worker = partial(_coloring_worker, kind, m, n, k, d, lenient, inst, ctx.obj["seed"])
+        outs = _generate(_parallel_map, worker, range(trials), ctx.obj["jobs"])
         failures = sum(1 for o in outs if o["failed"])
         invalid = sum(1 for o in outs if o["valid"] is False)
         phases: dict[str, int] = {}
@@ -515,7 +479,6 @@ def _coloring_command(kind: str, help_text: str, input_help: str) -> None:
             ],
         }
         spec = {
-            "seed": ctx.obj["seed_hex"],
             "m": m,
             "n": n,
             "k": k,
@@ -533,7 +496,6 @@ def _coloring_command(kind: str, help_text: str, input_help: str) -> None:
                 ["item", "value"],
                 list(enumerate(rendered)),
             ),
-            t0=t0,
         )
         if (failures + invalid) / trials > failure_budget:
             click.echo(f"failure budget exceeded: {failures + invalid}/{trials}", err=True)
@@ -602,11 +564,10 @@ def _capacities(scheme: str, n: int, m: int, path: str | None = None) -> list[in
 @click.pass_context
 def balls_bins_cmd(ctx, n, m, d, rule, capacities, cap_constant, trials, failure_budget):
     """Local load balancing: failure rate, max-load and probe statistics."""
-    t0 = time.time()
     caps = _capacities(ballsbins.RULES[rule].scheme, n, m, capacities)
     cap = ballsbins.default_cap(m, cap_constant)
-    args = [(n, m, d, rule, caps, cap, t, ctx.obj["seed_hex"]) for t in range(trials)]
-    outs = _generate(_parallel_map, _ballsbins_worker, args, ctx.obj["jobs"])
+    worker = partial(_ballsbins_worker, n, m, d, rule, caps, cap, ctx.obj["seed"])
+    outs = _generate(_parallel_map, worker, range(trials), ctx.obj["jobs"])
     failures = sum(o["failures"] for o in outs)
     queries = trials * n
     failure_rate = failures / max(1, queries)
@@ -634,7 +595,6 @@ def balls_bins_cmd(ctx, n, m, d, rule, capacities, cap_constant, trials, failure
         for (ball, bin_, failed, probes) in o["rows"]
     ]
     spec = {
-        "seed": ctx.obj["seed_hex"],
         "n": n,
         "m": m,
         "d": d,
@@ -648,7 +608,6 @@ def balls_bins_cmd(ctx, n, m, d, rule, capacities, cap_constant, trials, failure
         spec,
         results,
         csv_rows=lambda: (["trial", "ball", "bin", "failed", "probes"], rows),
-        t0=t0,
     )
     if failure_rate > failure_budget:
         click.echo(f"failure budget exceeded: rate {failure_rate}", err=True)
@@ -666,7 +625,6 @@ def balls_bins_cmd(ctx, n, m, d, rule, capacities, cap_constant, trials, failure
 @click.pass_context
 def oracle_compare_cmd(ctx, target, n, m, d, rule, trials, cap):
     """Compare every local answer against the global oracle run."""
-    t0 = time.time()
     seed = ctx.obj["seed"]
     the_rule = ballsbins.RULES[rule]
     caps = _capacities(the_rule.scheme, n, m) if target == "balls-bins" else None
@@ -707,7 +665,6 @@ def oracle_compare_cmd(ctx, target, n, m, d, rule, trials, cap):
         "failures": failures,
     }
     spec = {
-        "seed": ctx.obj["seed_hex"],
         "target": target,
         "n": n,
         "m": m,
@@ -725,7 +682,6 @@ def oracle_compare_cmd(ctx, target, n, m, d, rule, trials, cap):
             ["compared", "mismatches", "failures"],
             [(compared, mismatches, failures)],
         ),
-        t0=t0,
     )
     click.echo(f"mismatches: {mismatches}", err=True)
     if mismatches:
@@ -738,7 +694,6 @@ def oracle_compare_cmd(ctx, target, n, m, d, rule, trials, cap):
 @click.pass_context
 def lower_bound_cmd(ctx, path_len, trials):
     """Estimate the full-path closure probability (expected 1/path_len!)."""
-    t0 = time.time()
     freq = lower_bound_experiment(path_len, trials, ctx.obj["seed"])
     expected = 1 / math.factorial(path_len)
     se = math.sqrt(expected * (1 - expected) / trials)
@@ -748,14 +703,13 @@ def lower_bound_cmd(ctx, path_len, trials):
         "standard_error": se,
         "trials": trials,
     }
-    spec = {"seed": ctx.obj["seed_hex"], "path_len": path_len, "trials": trials}
+    spec = {"path_len": path_len, "trials": trials}
     _finish(
         ctx,
         "lower-bound",
         spec,
         results,
         csv_rows=lambda: (["frequency", "expected", "trials"], [(freq, expected, trials)]),
-        t0=t0,
     )
 
 

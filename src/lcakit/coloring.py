@@ -215,9 +215,8 @@ class QueryState:
             self.rounds = 0
             self.loglog = 1
             self.comp1_bound = 1
-        self.key_of = rank_key_fn(
-            derive_subseed(seed, b"ordering"), params.kind, max(view.m, 1)
-        )
+        self._universe = max(view.m, 1)
+        self.key_of = rank_key_fn(derive_subseed(seed, b"ordering"), params.kind, self._universe)
         self._coin_seed = derive_subseed(seed, b"coins")
         self.probes = 0
         # phase-1 epoch (never rewritten by later phases)
@@ -226,7 +225,7 @@ class QueryState:
         # committed values across all phases
         self.final: dict[int, int] = {}
         self.phase_of: dict[int, int] = {}
-        self._edge_order: dict[int, list[tuple[int, int]]] = {}
+        self._edge_order: dict[int, list[int]] = {}
         self._surv1: dict[int, bool] = {}
         self._comps: dict[tuple[int, int], tuple[int, ...]] = {}
         self._phase_cache: dict = {}
@@ -266,13 +265,15 @@ class QueryState:
         An item saved earlier stays unassigned all phase.
         """
         ku = self.key_of(u)
+        universe = self._universe
         for c in self._cons_of(u):
             danger = self.view.k - self.thresholds.k2  # assigned, k2 left unassigned
             assigned = 0
             tracker = None
-            for kw, w in self._edge_timeline(c):
+            for kw in self._edge_timeline(c):
                 if kw >= ku:
                     break
+                w = kw % universe
                 val = self.color1.get(w)
                 if val is None:
                     if w in self.saved1:
@@ -291,10 +292,12 @@ class QueryState:
         self.phase_of[u] = 1
         return None
 
-    def _edge_timeline(self, c: int):
+    def _edge_timeline(self, c: int) -> list[int]:
+        """Rank keys of c's items, ascending; a key modulo the universe is
+        its item."""
         got = self._edge_order.get(c)
         if got is None:
-            got = sorted((self.key_of(w), w) for w in self._items_of(c))
+            got = sorted(map(self.key_of, self._items_of(c)))
             self._edge_order[c] = got
         return got
 

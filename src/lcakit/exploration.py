@@ -403,14 +403,18 @@ def lower_bound_experiment(path_len: int, trials: int, seed: Seed) -> float:
 
 
 def gw_sizes(
-    seed: Seed, offspring: OffspringSpec, trials: int, cap: int = 1 << 20
+    seed: Seed, offspring: OffspringSpec, trials: range, cap: int = 1 << 20
 ) -> list[GwTreeSample]:
-    """Sample many branching trees under per-trial derived subseeds."""
-    if trials < 1:
-        raise ValueError("need trials >= 1")
+    """One branching tree per trial index in ``trials``, in order.
+
+    Trial ``t`` samples under its own subseed of ``seed``, so splitting a
+    range into contiguous chunks samples the same trees as the whole range.
+    """
+    if not trials:
+        raise ValueError("need at least one trial")
     return [
         sample_gw_tree(derive_subseed(seed, b"gw:%d" % t), offspring, cap)
-        for t in range(trials)
+        for t in trials
     ]
 
 

@@ -273,6 +273,20 @@ class TestSubcommandBehavior:
         assert "--edge must be 'u,v'" in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("edge", ["3,3", "-1,5", "5,2000"])
+    def test_impossible_edge_exits_before_any_graph(self, runner, monkeypatch, edge):
+        def no_graph(*args):
+            raise AssertionError("a graph was generated")
+
+        monkeypatch.setattr(graphs, "gen_bounded_degree", no_graph)
+        result = runner.invoke(
+            main, ["--seed", SEED_HEX, "matching", "--n", "1000", "--edge", edge]
+        )
+        assert result.exit_code == 2, result.output
+        assert "--edge must join two distinct vertices below --n 1000" in result.output
+        assert "trial" not in result.output
+        assert "Traceback" not in result.output
+
     def test_oracle_compare_reports_zero_mismatches(self, runner):
         result = run_ok(
             runner,
@@ -300,10 +314,10 @@ class TestSubcommandBehavior:
         assert json.loads(result.stdout)["results"]["mismatches"] == 0
 
     def test_gw_sim_mean_in_report(self, runner):
-        report = json.loads(
-            run_ok(runner, ["--seed", SEED_HEX, "gw-sim", "--trials", "2000"]).stdout
-        )
-        assert abs(report["results"]["mean"] - 1.5) < 0.15
+        result = run_ok(runner, ["--seed", SEED_HEX, "gw-sim", "--trials", "2000"])
+        assert abs(json.loads(result.stdout)["results"]["mean"] - 1.5) < 0.15
+        clock_lines = [ln for ln in result.output.splitlines() if "wall clock" in ln]
+        assert len(clock_lines) == 1 and clock_lines[0].startswith("[gw-sim] wall clock ")
 
     def test_coloring_reports_phases_and_validity(self, runner):
         report = json.loads(
@@ -336,6 +350,8 @@ class TestSubcommandBehavior:
             ["ksat", "--m", "200", "--n", "10", "--k", "40", "--d", "2",
              "--trials", "3"],
             ["gw-sim", "--trials", "3000"],  # splits its trials by --jobs
+            ["gw-sim", "--trials", "1"],  # an empty chunk is dropped
+            ["balls-bins", "--n", "150", "--m", "150", "--trials", "1"],  # runs in-process
         ):
             out1, out2 = tmp_path / "j1.json", tmp_path / "j2.json"
             run_ok(runner, ["--seed", SEED_HEX, "--out", str(out1), "--jobs", "1"] + cmd)

@@ -168,13 +168,13 @@ class TestGwSampler:
             sample_gw_tree(SEED, Binomial(10, 0.2))
 
     def test_regular_mean_total_progeny(self):
-        samples = gw_sizes(SEED, Regular(3, 9), 10**4)
+        samples = gw_sizes(SEED, Regular(3, 9), range(10**4))
         mean = sum(s.size for s in samples) / len(samples)
         assert abs(mean - 1.5) / 1.5 < 0.05
         assert all(s.extinct for s in samples)
 
     def test_binomial_mean_total_progeny(self):
-        samples = gw_sizes(SEED, Binomial(10**4, 3 / (9 * 10**4)), 10**4)
+        samples = gw_sizes(SEED, Binomial(10**4, 3 / (9 * 10**4)), range(10**4))
         mean = sum(s.size for s in samples) / len(samples)
         assert abs(mean - 1.5) / 1.5 < 0.05
 
@@ -313,7 +313,7 @@ EXPLORE_PINS = {
 class TestStreamConsumerPins:
     @pytest.mark.parametrize("spec, cap, total, extinct, digest", GW_PINS, ids=str)
     def test_pinned_gw_samples(self, spec, cap, total, extinct, digest):
-        samples = gw_sizes(SEED, spec, 200, cap)
+        samples = gw_sizes(SEED, spec, range(200), cap)
         assert sum(s.size for s in samples) == total
         assert sum(s.extinct for s in samples) == extinct
         assert hashlib.sha256(repr(samples).encode()).hexdigest() == digest

@@ -39,6 +39,8 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest node ids that must fail
 
 
+CLI = "src/lcakit/cli.py"
+COLORING = "src/lcakit/coloring.py"
 GRAPHS = "src/lcakit/graphs.py"
 MATCHING = "src/lcakit/matching.py"
 RANKS = "src/lcakit/ranks.py"
@@ -205,11 +207,74 @@ MUTANTS = [
     ),
     Mutant(
         "pool-of-jobs-workers",
-        "src/lcakit/cli.py",
+        CLI,
         "max_workers=min(jobs, len(args_list))",
         "max_workers=jobs",
         (
             "tests/test_cli.py::TestSubcommandBehavior::test_parallel_map_starts_at_most_one_worker_per_task",
+        ),
+    ),
+    Mutant(
+        "finish-without-seed-echo",
+        CLI,
+        '    spec = {"seed": ctx.obj["seed"].hex(), **spec}\n',
+        "",
+        (
+            "tests/test_cli.py::TestReports::test_seed_env_var",
+            "tests/test_cli.py::test_pinned_report[lower-bound-json]",
+            "tests/test_cli.py::test_pinned_report[gw-sim-json]",
+        ),
+    ),
+    Mutant(
+        "gw-chunk-starts-late",
+        CLI,
+        "range(trials * i // jobs, ",
+        "range(trials * i // jobs + 1, ",
+        (
+            "tests/test_cli.py::TestSubcommandBehavior::test_worker_commands_jobs_stable",
+            "tests/test_cli.py::test_pinned_report[gw-sim-json]",
+        ),
+    ),
+    Mutant(
+        "timeline-decoded-by-division",
+        COLORING,
+        "w = kw % universe",
+        "w = kw // universe",
+        (
+            "tests/test_coloring.py::test_pinned_answers_and_costs",
+            "tests/test_coloring.py::TestColorQuery::test_fresh_equals_shared_state",
+            "tests/test_coloring.py::TestPhaseOneAgainstGlobalReference::test_cnf_lenient_small[0]",
+        ),
+    ),
+    Mutant(
+        "component-cache-keyed-by-item",
+        COLORING,
+        "        got = self._comps.get((phase, x))\n",
+        "        phase = 0\n        got = self._comps.get((phase, x))\n",
+        (
+            "tests/test_coloring.py::test_pinned_answers_and_costs",
+            "tests/test_cli.py::test_pinned_report[coloring-lenient-json]",
+        ),
+    ),
+    Mutant(
+        "is-matched-lowest-edge-verdict",
+        MATCHING,
+        "    for f in order:  # ascending rank",
+        "    for f in order[:1]:  # ascending rank",
+        (
+            "tests/test_matching.py::TestIsMatched::test_triangle_only_lowest_rank_matched",
+            "tests/test_matching.py::test_pinned_verdicts",
+            "tests/test_cli.py::test_pinned_report[matching-edge-json]",
+        ),
+    ),
+    Mutant(
+        "deps-iteration-skips-undecided",
+        "src/lcakit/engine.py",
+        "        return map(self._pair, self._ids)",
+        "        return ((w, self._outputs[w]) for w in self._ids if w in self._outputs)",
+        (
+            "tests/test_engine.py::TestEvalLocal::test_two_vertex_chain_hand_case",
+            "tests/test_engine.py::TestDeps::test_reading_an_undecided_entry_names_it",
         ),
     ),
 ]
