@@ -1,5 +1,6 @@
 import hashlib
 import warnings
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from lcakit.coloring import (
     COLORS,
     DEFAULT_TREE_CAP,
+    PROBLEMS,
     ColoringFailure,
     ColoringParams,
     PhaseThresholds,
@@ -407,3 +409,45 @@ def test_query_order_oblivious(problem, shape, tag, kwise, cap, rng):
         for state in (shared, state_of(inst, rseed, capped)):
             got = _outcome(state, x)
             assert got == want[x] or got == "tree_cap"
+
+
+# Strict (problem, (m, n, k, d), instance indices) cases whose items reach
+# phases 2 and 3: every strict PIN_SHAPES item resolves in phase 1, and the
+# lenient shape's floored thresholds leave phases 2 and 3 nothing to resolve.
+LATE_PIN_CASES = (
+    ("coloring", (400, 40, 19, 1), (11,)),
+    ("coloring", (800, 40, 40, 2), (1, 8)),
+    ("ksat", (800, 40, 40, 2), (0, 1, 5)),
+)
+PINNED_LATE_ANSWERS = "b5172b78ec31881e54828c737385ad29835eef39ca33e14a113e75c34ed2d93e"
+PINNED_LATE_COSTS = "50890b1a62dba9aba921828bd6ce7e955f45e67ce27f66f77cb05eac54e199f9"
+
+
+def test_pinned_late_phase_answers_and_costs():
+    """The shared and fresh modes of test_pinned_answers_and_costs, at the
+    default cap, over instances resolved partly in phases 2 and 3."""
+    answers, costs = hashlib.sha256(), hashlib.sha256()
+    phases = Counter()
+    for name, shape, indices in LATE_PIN_CASES:
+        problem = PROBLEMS[name]
+        for i in indices:
+            inst = problem.generate(derive_subseed(SEED, b"p23:%s:%d" % (name.encode(), i)), *shape)
+            rseed = derive_subseed(SEED, b"p23r:%d" % i)
+            shared = problem.state(inst, rseed)
+            first = {}  # item -> its shared-state (value, phase)
+            for mode in ("all", "fresh"):
+                for x in range(inst.m):
+                    tag = (name, i, mode, x)
+                    state = shared if mode == "all" else problem.state(inst, rseed)
+                    try:
+                        value, phase, probes = state.query(x)
+                    except ColoringFailure as exc:
+                        costs.update(b"%r\n" % (tag + (exc.reason,),))
+                        continue
+                    costs.update(b"%r\n" % (tag + (probes,),))
+                    answers.update(b"%r\n" % (tag + (value, phase),))
+                    phases[phase] += 1
+                    assert first.setdefault(x, (value, phase)) == (value, phase)
+    assert phases[2] > 0 and phases[3] > 0
+    assert answers.hexdigest() == PINNED_LATE_ANSWERS
+    assert costs.hexdigest() == PINNED_LATE_COSTS
