@@ -144,50 +144,11 @@ class SatAnswer:
     probes: int
 
 
-class _HypergraphView:
-    """Constraint view of a hypergraph: safe = edge has seen both colors."""
-
-    def __init__(self, h: Hypergraph):
-        self.inst = h
-        self.m = h.m
-        self.n = h.n
-        self.k = h.k
-        self.dep = h.dependency_degree
-
-    def items_of(self, c: int) -> tuple[int, ...]:
-        return self.inst.vertices_of(c)
-
-    def cons_of(self, v: int) -> tuple[int, ...]:
-        return self.inst.edges_of(v)
-
-    @staticmethod
-    def step(c: int, item: int, value: int, tracker):
-        # tracker is the first value seen on this constraint, or None
-        if tracker is None:
-            return value, False
-        return tracker, value != tracker
-
-
-class _CnfView:
-    """Constraint view of a CNF: safe = clause has a satisfied literal."""
-
-    def __init__(self, f: CnfFormula):
-        self.inst = f
-        self.m = f.m
-        self.n = f.n
-        self.k = f.k
-        self.dep = f.dependency_degree
-        self._vars = f.clause_vars
-        self._want = f.clause_wants
-
-    def items_of(self, c: int) -> tuple[int, ...]:
-        return self._vars[c]
-
-    def cons_of(self, v: int) -> tuple[int, ...]:
-        return self.inst.clauses_of(v)
-
-    def step(self, c: int, item: int, value: int, tracker):
-        return tracker, self._want[c][item] == bool(value)
+def _two_color_step(c: int, item: int, value: int, tracker):
+    # tracker is the first color seen on hyperedge c, or None
+    if tracker is None:
+        return value, False
+    return tracker, value != tracker
 
 
 class QueryState:
@@ -197,25 +158,32 @@ class QueryState:
     sharing a state across queries changes cost, never answers.  Per-query
     probe counts are deltas, which means they reflect work actually done
     under the sharing in effect.
+
+    Coloring and k-SAT differ only in the lookups ``items_of`` (a constraint's
+    items) and ``cons_of`` (an item's constraints) and in ``step``, which folds
+    one assigned item into a constraint's tracker and returns (tracker, safe).
     """
 
-    def __init__(self, view, seed: Seed, params: ColoringParams):
-        self.view = view
+    def __init__(self, inst, items_of, cons_of, step, seed: Seed, params: ColoringParams):
+        self.inst = inst
+        self.items_of = items_of
+        self.cons_of = cons_of
+        self.step = step
         self.params = params
         if params.tree_cap < 1:
             raise ValueError("tree_cap must be >= 1")
-        self.d = d = view.dep
-        if view.n > 0:
-            self.thresholds = compute_thresholds(view.k, d, params.lenient)
-            self.rounds = ilog2ceil(view.n)
+        self.d = d = inst.dependency_degree
+        if inst.n > 0:
+            self.thresholds = compute_thresholds(inst.k, d, params.lenient)
+            self.rounds = ilog2ceil(inst.n)
             self.loglog = ilog2ceil(self.rounds)
-            self.comp1_bound = max(1, 4 * d**3) * ilog2ceil(view.n)
+            self.comp1_bound = max(1, 4 * d**3) * ilog2ceil(inst.n)
         else:
             self.thresholds = None
             self.rounds = 0
             self.loglog = 1
             self.comp1_bound = 1
-        self._universe = max(view.m, 1)
+        self._universe = max(inst.m, 1)
         self.key_of = rank_key_fn(derive_subseed(seed, b"ordering"), params.kind, self._universe)
         self._coin_seed = derive_subseed(seed, b"coins")
         self.probes = 0
@@ -234,11 +202,11 @@ class QueryState:
 
     def _items_of(self, c: int) -> tuple[int, ...]:
         self.probes += 1
-        return self.view.items_of(c)
+        return self.items_of(c)
 
     def _cons_of(self, v: int) -> tuple[int, ...]:
         self.probes += 1
-        return self.view.cons_of(v)
+        return self.cons_of(v)
 
     def _coin(self, ensemble: int, item: int) -> int:
         return random_in_range(
@@ -267,7 +235,7 @@ class QueryState:
         ku = self.key_of(u)
         universe = self._universe
         for c in self._cons_of(u):
-            danger = self.view.k - self.thresholds.k2  # assigned, k2 left unassigned
+            danger = self.inst.k - self.thresholds.k2  # assigned, k2 left unassigned
             assigned = 0
             tracker = None
             for kw in self._edge_timeline(c):
@@ -280,7 +248,7 @@ class QueryState:
                         continue
                     return w
                 assigned += 1
-                tracker, safe = self.view.step(c, w, val, tracker)
+                tracker, safe = self.step(c, w, val, tracker)
                 if safe:
                     break
                 if assigned == danger:
@@ -307,11 +275,11 @@ class QueryState:
         is safe, so the count is complete only while c is unsafe."""
         count = 0
         tracker = None
-        for w in self.view.items_of(c):
+        for w in self.items_of(c):
             val = value_of(w)
             if val is not None:
                 count += 1
-                tracker, safe = self.view.step(c, w, val, tracker)
+                tracker, safe = self.step(c, w, val, tracker)
                 if safe:
                     return count, tracker, True
         return count, tracker, False
@@ -356,7 +324,7 @@ class QueryState:
                             )
         out = tuple(sorted(comp))
         for c in out:
-            for w in self.view.items_of(c):
+            for w in self.items_of(c):
                 self._comps.setdefault((phase, w), out)
         return out
 
@@ -364,13 +332,13 @@ class QueryState:
 
     def _try_round(self, edges, items, item_cons, k_next: int, ensemble: int):
         """One random-coloring attempt; returns (assigned, survived)."""
-        k = self.view.k
+        k = self.inst.k
         assigned: dict[int, int] = {}
         saved: set[int] = set()
         state = {c: list(self._scan(c, self.final.get)) for c in edges}
 
         def mark_dangerous(c: int) -> None:
-            for w in self.view.items_of(c):
+            for w in self.items_of(c):
                 if w not in self.final and w not in assigned:
                     saved.add(w)
 
@@ -388,7 +356,7 @@ class QueryState:
                 st[0] += 1
                 if st[2]:
                     continue
-                st[1], safe = self.view.step(c, v, val, st[1])
+                st[1], safe = self.step(c, v, val, st[1])
                 if safe:
                     st[2] = True
                 elif k - st[0] == k_next:
@@ -396,30 +364,30 @@ class QueryState:
         survived = tuple(c for c in edges if not state[c][2])
         return assigned, survived
 
-    def _components_within(self, edges: Sequence[int]) -> list[tuple[int, ...]]:
-        eset = set(edges)
+    def _largest_component(self, edges: Sequence[int]) -> int:
+        """Constraint count of the largest connected component of ``edges``."""
         by_item: dict[int, list[int]] = {}
         for c in edges:
-            for w in self.view.items_of(c):
+            for w in self.items_of(c):
                 by_item.setdefault(w, []).append(c)
         seen: set[int] = set()
-        comps = []
+        largest = 0
         for c0 in edges:
             if c0 in seen:
                 continue
-            comp = {c0}
-            queue = [c0]
             seen.add(c0)
+            queue = [c0]
+            size = 0
             while queue:
                 c = queue.pop()
-                for w in self.view.items_of(c):
+                size += 1
+                for w in self.items_of(c):
                     for c2 in by_item[w]:
-                        if c2 not in seen and c2 in eset:
+                        if c2 not in seen:
                             seen.add(c2)
-                            comp.add(c2)
                             queue.append(c2)
-            comps.append(tuple(sorted(comp)))
-        return comps
+            largest = max(largest, size)
+        return largest
 
     def _phase_threshold(self, phase: int) -> int:
         if phase == 2:
@@ -449,8 +417,7 @@ class QueryState:
             assigned, survived = self._try_round(
                 edges, items, item_cons, k_next, base + t
             )
-            comps = self._components_within(survived)
-            if all(len(comp) <= threshold for comp in comps):
+            if self._largest_component(survived) <= threshold:
                 for v, val in assigned.items():
                     self.final[v] = val
                     self.phase_of[v] = phase
@@ -492,17 +459,19 @@ class QueryState:
 
     def query(self, x: int) -> tuple[int, int, int]:
         """(value, phase_resolved, probes) for one item."""
-        if not 0 <= x < self.view.m:
-            raise ValueError(f"item {x} out of range for m={self.view.m}")
+        if not 0 <= x < self.inst.m:
+            raise ValueError(f"item {x} out of range for m={self.inst.m}")
         before = self.probes
         self._ensure(x)
-        if x not in self.final:
-            survived = self._run_phase(2, self._component(x, 1, self._survived1))
-            if x not in self.final:
-                comp = self._component(x, 2, survived.__contains__)
-                survived = self._run_phase(3, comp)
-                if x not in self.final:
-                    self._run_phase4(self._component(x, 3, survived.__contains__))
+        survives = self._survived1
+        for phase in (2, 3, 4):
+            if x in self.final:
+                break
+            comp = self._component(x, phase - 1, survives)
+            if phase < 4:
+                survives = self._run_phase(phase, comp).__contains__
+            else:
+                self._run_phase4(comp)
         return self.final[x], self.phase_of[x], self.probes - before
 
 
@@ -515,13 +484,19 @@ def coloring_state(
     h: Hypergraph, seed: Seed, params: ColoringParams | None = None
 ) -> QueryState:
     """Reusable state for batching many color queries against one run."""
-    return QueryState(_HypergraphView(h), seed, params or ColoringParams())
+    return QueryState(
+        h, h.vertices_of, h.edges_of, _two_color_step, seed, params or ColoringParams()
+    )
 
 
 def sat_state(
     f: CnfFormula, seed: Seed, params: ColoringParams | None = None
 ) -> QueryState:
-    return QueryState(_CnfView(f), seed, params or ColoringParams())
+    want = f.clause_wants
+    step = lambda c, item, value, tracker: (tracker, want[c][item] == bool(value))  # noqa: E731
+    return QueryState(
+        f, f.clause_vars.__getitem__, f.clauses_of, step, seed, params or ColoringParams()
+    )
 
 
 def color_query(

@@ -208,6 +208,17 @@ class TestColorQuery:
         assert color_query(inst, 3, SEED, params).color == colors[3]
 
 
+class TestLargestComponent:
+    def test_counts_constraints_of_the_largest_component(self):
+        # hyperedges 0, 1 and 2 are chained by shared vertices; 3 shares none
+        h = Hypergraph.from_edges(10, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (7, 8, 9)])
+        state = coloring_state(h, SEED, lenient_params())
+        assert state._largest_component([0, 1, 2, 3]) == 3
+        assert state._largest_component([3, 0, 2]) == 1  # 0 and 2 share no vertex
+        assert state._largest_component([1]) == 1
+        assert state._largest_component([]) == 0
+
+
 class TestColorAll:
     def test_proper_on_generated_instances(self):
         for i in range(5):
