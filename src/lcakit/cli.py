@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from importlib import resources
@@ -446,7 +447,9 @@ def _coloring_command(kind: str, help_text: str, input_help: str) -> None:
             m, n, k, d = inst.m, inst.n, inst.k, inst.dependency_degree
         try:
             if n > 0:
-                coloring.compute_thresholds(k, d, lenient=lenient)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # each lenient trial's state warns
+                    coloring.compute_thresholds(k, d, lenient=lenient)
         except coloring.ThresholdError as exc:
             raise click.UsageError(str(exc))
         worker = partial(_coloring_worker, kind, m, n, k, d, lenient, inst, ctx.obj["seed"])

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -129,6 +130,27 @@ class TestExitCodes:
             main, ["--seed", SEED_HEX, "coloring", "--k", "20", "--d", "2"]
         )
         assert result.exit_code == 2  # inadmissible thresholds in strict mode
+
+    def test_one_literal_clauses_are_a_usage_error_when_lenient(self, runner, tmp_path):
+        path = tmp_path / "k1.cnf"
+        path.write_text("p cnf 2 2\n1 0\n-2 0\n")
+        result = runner.invoke(
+            main, ["--seed", SEED_HEX, "ksat", "--input", str(path), "--lenient"]
+        )
+        assert result.exit_code == 2
+        assert "need k >= 2, got k=1" in result.output
+
+    @pytest.mark.parametrize("kind", ["coloring", "ksat"])
+    def test_lenient_run_warns_once_about_its_thresholds(self, runner, kind):
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            result = runner.invoke(
+                main,
+                ["--seed", SEED_HEX, kind, "--m", "60", "--n", "40", "--k", "4", "--d", "6",
+                 "--lenient", "--trials", "1", "--failure-budget", "1"],
+            )
+        assert result.exit_code == 0, result.output
+        assert sum("inadmissible" in str(w.message) for w in got) == 1
 
     def test_generation_failure_exit_code(self, runner):
         result = runner.invoke(
