@@ -277,6 +277,54 @@ MUTANTS = [
             "tests/test_engine.py::TestDeps::test_reading_an_undecided_entry_names_it",
         ),
     ),
+    Mutant(
+        "query-skips-phase-3",
+        COLORING,
+        "(2, 3, 4)",
+        "(2, 4)",
+        (
+            "tests/test_coloring.py::test_pinned_late_phase_answers_and_costs",
+            "tests/test_coloring.py::test_pinned_answers_and_costs",
+            "tests/test_cli.py::test_pinned_report[coloring-lenient-json]",
+        ),
+    ),
+    Mutant(
+        "hyperedge-safe-on-equal-colors",
+        COLORING,
+        "value != tracker",
+        "value == tracker",
+        (
+            "tests/test_coloring.py::TestPhaseOneAgainstGlobalReference::test_hypergraph_lenient_small[0]",
+            "tests/test_coloring.py::TestColorAll::test_proper_on_generated_instances",
+            "tests/test_coloring.py::test_pinned_late_phase_answers_and_costs",
+        ),
+    ),
+    Mutant(
+        "component-size-one-high",
+        COLORING,
+        "            size = 0\n",
+        "            size = 1\n",
+        (
+            "tests/test_coloring.py::TestLargestComponent::test_counts_constraints_of_the_largest_component",
+            "tests/test_coloring.py::TestSat::test_single_clause_satisfied",
+        ),
+    ),
+    Mutant(
+        "decide-cap-one-late",
+        "src/lcakit/exploration.py",
+        "        elif fresh == cap:\n",
+        "        elif fresh > cap:\n",
+        ("tests/test_coloring.py::test_pinned_answers_and_costs",),
+    ),
+    Mutant(
+        "cli-thresholds-strict-only",
+        CLI,
+        "            if n > 0:\n                with warnings.catch_warnings():\n",
+        "            if strict and n > 0:\n                with warnings.catch_warnings():\n",
+        (
+            "tests/test_cli.py::TestExitCodes::test_one_literal_clauses_are_a_usage_error_when_lenient",
+        ),
+    ),
 ]
 assert all(m.tests for m in MUTANTS), "every mutant names the tests that must fail"
 
