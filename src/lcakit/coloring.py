@@ -463,15 +463,16 @@ class QueryState:
             raise ValueError(f"item {x} out of range for m={self.inst.m}")
         before = self.probes
         self._ensure(x)
-        survives = self._survived1
-        for phase in (2, 3, 4):
-            if x in self.final:
-                break
-            comp = self._component(x, phase - 1, survives)
-            if phase < 4:
-                survives = self._run_phase(phase, comp).__contains__
-            else:
-                self._run_phase4(comp)
+        if x not in self.final:
+            survives = self._survived1
+            for phase in (2, 3, 4):
+                comp = self._component(x, phase - 1, survives)
+                if phase < 4:
+                    survives = self._run_phase(phase, comp).__contains__
+                else:
+                    self._run_phase4(comp)
+                if x in self.final:
+                    break
         return self.final[x], self.phase_of[x], self.probes - before
 
 
@@ -484,9 +485,8 @@ def coloring_state(
     h: Hypergraph, seed: Seed, params: ColoringParams | None = None
 ) -> QueryState:
     """Reusable state for batching many color queries against one run."""
-    return QueryState(
-        h, h.vertices_of, h.edges_of, _two_color_step, seed, params or ColoringParams()
-    )
+    return QueryState(h, h.vertices_of, h.edges_of, _two_color_step, seed,
+                      params or ColoringParams())
 
 
 def sat_state(
@@ -494,9 +494,8 @@ def sat_state(
 ) -> QueryState:
     want = f.clause_wants
     step = lambda c, item, value, tracker: (tracker, want[c][item] == bool(value))  # noqa: E731
-    return QueryState(
-        f, f.clause_vars.__getitem__, f.clauses_of, step, seed, params or ColoringParams()
-    )
+    return QueryState(f, f.clause_vars.__getitem__, f.clauses_of, step, seed,
+                      params or ColoringParams())
 
 
 def color_query(
