@@ -221,20 +221,21 @@ def assign_query(
         return Assignment(ball, _fallback_bin(bc, ball, seed), failed=True, probes=0)
     if not 0 <= ball < bc.n_balls:
         raise ValueError(f"ball {ball} out of range for n={bc.n_balls}")
-    key_of = _key_of if _key_of is not None else rank_key_fn(seed, kind, bc.n_balls)
+    universe = bc.n_balls
+    key_of = _key_of if _key_of is not None else rank_key_fn(seed, kind, universe)
 
     def conflicts(b: int) -> list[int]:
         # the choosers of b's bins, b itself included
         return [w for u in bc.choices_of(b) for w in bc.choosers_of(u)]
 
-    order, scans, truncated = _closure(conflicts, ball, key_of, cap)
+    members, scans, truncated = _closure(conflicts, ball, key_of, cap)
     probes = (1 + bc.d) * scans  # each scan: b's choice list, each bin's choosers
     if truncated:
         return Assignment(ball, _fallback_bin(bc, ball, seed), failed=True, probes=probes)
     loads: dict[int, int] = {}
     load_of = lambda u: loads.get(u, 0)  # noqa: E731
-    for b in order:  # ascending rank; the queried ball is last
-        u = rule.choose(bc, b, load_of)
+    for k in sorted(members.values()):  # ascending rank; the queried ball is last
+        u = rule.choose(bc, k % universe, load_of)
         loads[u] = loads.get(u, 0) + 1
     return Assignment(ball, u, failed=False, probes=probes)
 

@@ -81,39 +81,44 @@ def _closure(
     root: int,
     key_of: Callable[[int], int],
     cap: int,
-):
+) -> tuple[dict[int, int], int, bool]:
     """BFS decreasing-rank closure.
 
-    Returns (order, scans, truncated) where ``order`` lists members
-    ascending by rank, so the root comes last, and ``scans`` counts the
-    ``adj`` calls.  ``adj`` returns a list or tuple, never a lazy iterator,
-    so each scan makes all of its lookups, even the one the cap cuts short:
-    a walk whose scan makes k lookups costs ``k * scans`` probes.
+    Returns (members, scans, truncated) where ``members`` maps each member
+    to its key, in discovery order (the root first), and ``scans`` counts
+    the ``adj`` calls.  Callers that replay sort the keys; the size is
+    ``len(members)``.  ``adj`` returns a list or tuple, never a lazy
+    iterator, so each scan makes all of its lookups, even the one the cap
+    cuts short: a walk whose scan makes k lookups costs ``k * scans`` probes.
 
-    An item is keyed again at each comparison and in the sort, so
-    ``key_of`` must not rank it again: it caches, as the functions of
-    :func:`~lcakit.ranks.rank_key_fn` do, or reads keys ranked up front,
-    as ``assign_all``'s does.  A neighbor rejected from one parent may still
-    join later via a higher-ranked parent; rejection is never memorized.
+    ``key_of`` is called once for the root and once per visit of a
+    non-member neighbor; a member's key is read from ``members``.  A
+    neighbor rejected from one parent may still join later via a
+    higher-ranked parent (rejection is never memorized), so it is keyed
+    again there: ``key_of`` must not rank it again.  It caches, as the
+    functions of :func:`~lcakit.ranks.rank_key_fn` do, or reads keys ranked
+    up front, as ``assign_all``'s does.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    members = {root}
+    members = {root: key_of(root)}
     queue = deque([root])
     scans = 0
     truncated = False
     while queue and not truncated:
         v = queue.popleft()
-        kv = key_of(v)
+        kv = members[v]
         scans += 1
         for w in adj(v):
-            if w not in members and key_of(w) < kv:
-                if len(members) >= cap:
-                    truncated = True
-                    break
-                members.add(w)
-                queue.append(w)
-    return sorted(members, key=key_of), scans, truncated
+            if w not in members:
+                kw = key_of(w)
+                if kw < kv:
+                    if len(members) >= cap:
+                        truncated = True
+                        break
+                    members[w] = kw
+                    queue.append(w)
+    return members, scans, truncated
 
 
 def _decide(root: int, step: Callable[[int], int | None], cap: int) -> bool:
@@ -155,10 +160,10 @@ def explore(
     """
     if not 0 <= root < g.n:
         raise ValueError(f"root {root} out of range for n={g.n}")
-    key_of = rank_key_fn(seed, kind, g.n)
-    order, probes, truncated = _closure(g.neighbors, root, key_of, cap)
-    members = tuple((v, Rank(*divmod(key_of(v), g.n))) for v in order)
-    return RelevantSet(root, members, probes, truncated)
+    n = g.n
+    keys, probes, truncated = _closure(g.neighbors, root, rank_key_fn(seed, kind, n), cap)
+    ranks = (Rank(*divmod(k, n)) for k in sorted(keys.values()))
+    return RelevantSet(root, tuple((r.owner, r) for r in ranks), probes, truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +360,8 @@ def _instance_sizes(spec: TreeStatsSpec, seed: Seed, i: int) -> tuple[list[int],
     truncated = 0
     for q, root in enumerate(roots._randranges([g.n] * spec.queries_per_instance)):
         key_of = rank_key_fn(derive_subseed(seed, b"order:%d:%d" % (i, q)), full, g.n)
-        order, _, cut = _closure(g.neighbors, root, key_of, spec.cap)
-        sizes.append(len(order))
+        members, _, cut = _closure(g.neighbors, root, key_of, spec.cap)
+        sizes.append(len(members))
         truncated += cut
     return sizes, truncated
 
@@ -397,8 +402,8 @@ def lower_bound_experiment(path_len: int, trials: int, seed: Seed) -> float:
     hits = 0
     for t in range(trials):
         key_of = rank_key_fn(derive_subseed(seed, b"trial:%d" % t), full, path_len)
-        order, _, _ = _closure(g.neighbors, 0, key_of, path_len)
-        hits += len(order) == path_len
+        members, _, _ = _closure(g.neighbors, 0, key_of, path_len)
+        hits += len(members) == path_len
     return hits / trials
 
 

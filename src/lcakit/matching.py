@@ -63,7 +63,8 @@ def is_matched(
     if e[1] not in g.neighbors(e[0]):
         raise ValueError(f"{e} is not an edge of the graph")
     n = g.n
-    key_of = _key_of if _key_of is not None else rank_key_fn(seed, kind, n * n)
+    nn = n * n
+    key_of = _key_of if _key_of is not None else rank_key_fn(seed, kind, nn)
     nbrs = g.neighbors
 
     def adj(x: int) -> list[int]:
@@ -72,20 +73,20 @@ def is_matched(
             u * n + w if u < w else w * n + u for u in divmod(x, n) for w in nbrs(u)
         ]
 
-    order, scans, truncated = _closure(adj, e[0] * n + e[1], key_of, cap)
+    members, scans, truncated = _closure(adj, e[0] * n + e[1], key_of, cap)
     probes = 2 * scans  # each scan reads both endpoints' neighbor lists
     if truncated:
         raise TruncationError(
             f"relevant edge set of {e} exceeded cap {cap}",
             probes=probes,
-            size=len(order),
+            size=len(members),
         )
     covered: set[int] = set()
-    for f in order:  # ascending rank; the root is last, so its verdict is kept
-        u, v = divmod(f, n)
+    for k in sorted(members.values()):  # ascending rank; the root is last
+        u, v = divmod(k % nn, n)
         if matched := u not in covered and v not in covered:
             covered.update((u, v))
-    return MatchVerdict(matched, probes=probes, edges_evaluated=len(order))
+    return MatchVerdict(matched, probes=probes, edges_evaluated=len(members))
 
 
 def all_verdicts(

@@ -27,6 +27,9 @@ _MASK64 = _U64 - 1
 _TWO53 = float(1 << 53)
 _WORDS = struct.Struct(">8Q")
 _WORDS_LAST_FIRST = struct.Struct("<8Q")
+# Bound once: a looked-up ``int.from_bytes`` costs about as much again as the
+# call itself, which matters once per rank hash.
+_from_bytes = int.from_bytes
 # Most draws RandomStream decodes at once; bounds the words held in memory.
 _BULK = 1024
 
@@ -312,7 +315,7 @@ def random_in_range(seed: Seed, label: bytes, bound: int) -> int:
     if bound <= _U64:
         # The stream's first word (block 0, bytes 0-7) almost always passes:
         # read it without building the stream, which replays it on a rejection.
-        r = int.from_bytes(_digest(seed, b"stream", name + bytes(8), 64)[:8], "big")
+        r = _from_bytes(_digest(seed, b"stream", name + bytes(8), 64)[:8], "big")
         if r < _U64 - _U64 % bound:
             return r % bound
     return RandomStream(seed, name).randrange(bound)
@@ -352,7 +355,7 @@ def _rank_value(state, item: int, universe: int) -> int:
         raise _outside(item, universe)
     h = state.copy()
     h.update(item.to_bytes(8, "big"))
-    return int.from_bytes(h.digest(), "big")
+    return _from_bytes(h.digest(), "big")
 
 
 def _rank_state(seed: Seed):
