@@ -45,8 +45,8 @@ from .ranks import (
     FullPseudorandom,
     OrderingKind,
     Seed,
+    coin_fn,
     derive_subseed,
-    random_in_range,
     rank_key_fn,
 )
 
@@ -185,7 +185,7 @@ class QueryState:
             self.comp1_bound = 1
         self._universe = max(inst.m, 1)
         self.key_of = rank_key_fn(derive_subseed(seed, b"ordering"), params.kind, self._universe)
-        self._coin_seed = derive_subseed(seed, b"coins")
+        self._coin = coin_fn(derive_subseed(seed, b"coins"))  # (ensemble, item) -> 0/1
         self.probes = 0
         # phase-1 epoch (never rewritten by later phases)
         self.color1: dict[int, int] = {}
@@ -207,11 +207,6 @@ class QueryState:
     def _cons_of(self, v: int) -> tuple[int, ...]:
         self.probes += 1
         return self.cons_of(v)
-
-    def _coin(self, ensemble: int, item: int) -> int:
-        return random_in_range(
-            self._coin_seed.with_ensemble(ensemble), item.to_bytes(8, "big"), 2
-        )
 
     # -- phase 1: rank-ordered local decisions --------------------------------
 

@@ -30,6 +30,7 @@ _WORDS_LAST_FIRST = struct.Struct("<8Q")
 # Bound once: a looked-up ``int.from_bytes`` costs about as much again as the
 # call itself, which matters once per rank hash.
 _from_bytes = int.from_bytes
+_BLOCK_0 = bytes(8)  # a stream's first block counter
 # Most draws RandomStream decodes at once; bounds the words held in memory.
 _BULK = 1024
 
@@ -315,10 +316,31 @@ def random_in_range(seed: Seed, label: bytes, bound: int) -> int:
     if bound <= _U64:
         # The stream's first word (block 0, bytes 0-7) almost always passes:
         # read it without building the stream, which replays it on a rejection.
-        r = _from_bytes(_digest(seed, b"stream", name + bytes(8), 64)[:8], "big")
+        r = _from_bytes(_digest(seed, b"stream", name + _BLOCK_0, 64)[:8], "big")
         if r < _U64 - _U64 % bound:
             return r % bound
     return RandomStream(seed, name).randrange(bound)
+
+
+def coin_fn(seed: Seed):
+    """Return ``(ensemble, item) -> 0 or 1``, a fair coin per item: the
+    value of ``random_in_range(seed.with_ensemble(ensemble),
+    item.to_bytes(8, "big"), 2)``.  A bound of 2 divides ``2**64``, so the
+    stream's first word is never rejected and the coin is that word's low
+    bit, bit 0 of byte 7 of one 64-byte ``b"stream"`` digest.  Each
+    ensemble's keyed state is bound once, on its first coin."""
+    states: dict[int, object] = {}
+
+    def coin(ensemble: int, item: int) -> int:
+        state = states.get(ensemble)
+        if state is None:
+            e = seed.with_ensemble(ensemble)
+            state = states[ensemble] = _prefix(e.master_key, ensemble, b"stream", 64)
+        h = state.copy()
+        h.update(b"range:" + item.to_bytes(8, "big") + _BLOCK_0)
+        return h.digest()[7] & 1
+
+    return coin
 
 
 def polynomial_rank(coeffs: tuple[int, ...], prime: int, x: int) -> int:

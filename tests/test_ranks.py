@@ -16,6 +16,7 @@ from lcakit.ranks import (
     RandomStream,
     Seed,
     _digest,
+    coin_fn,
     derive_subseed,
     is_probable_prime,
     next_prime,
@@ -192,6 +193,20 @@ class TestRandomInRange:
             counts[random_in_range(SEED, b"die:%d" % i, 6)] += 1
         for c in counts:
             assert abs(c / draws - 1 / 6) < 0.01 / 6
+
+    @settings(max_examples=300)
+    @given(
+        st.binary(min_size=32, max_size=32),
+        st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
+        st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+    )
+    def test_coin_is_the_range_two_draw(self, key, ensembles, items):
+        seed = Seed(key, 0)
+        coin = coin_fn(seed)  # one function across ensembles, as a query state holds it
+        for e in ensembles:
+            for x in items:
+                expected = random_in_range(seed.with_ensemble(e), x.to_bytes(8, "big"), 2)
+                assert coin(e, x) == expected
 
 
 class TestRandomStream:
