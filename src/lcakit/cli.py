@@ -200,6 +200,12 @@ def _ballsbins_worker(n, m, d, rule_name, caps, cap, seed: Seed, trial: int) -> 
 # CLI
 # ---------------------------------------------------------------------------
 
+# Size flags stop at the loaders' item limits, so no flag asks for an
+# instance that a loader would refuse.  oracle-compare's --n counts
+# vertices or balls, so it stops at the smaller limit.
+_MAX_VERTICES = graphs.ITEM_LIMITS["graph"]
+_MAX_BALLS_BINS = graphs.ITEM_LIMITS["balls-bins"]
+
 
 @click.group()
 @click.option(
@@ -233,7 +239,7 @@ def _finish(ctx, subcommand: str, spec: dict, results: dict, csv_rows=None):
 
 @main.command("tree-stats")
 @click.option("--generator", type=click.Choice(["bounded", "binomial"]), default="bounded")
-@click.option("--n", type=click.IntRange(1), default=1024, show_default=True)
+@click.option("--n", type=click.IntRange(1, _MAX_VERTICES), default=1024, show_default=True)
 @click.option("--d", type=click.IntRange(1), default=5, show_default=True)
 @click.option("--instances", type=click.IntRange(1), default=10, show_default=True)
 @click.option("--queries", type=click.IntRange(1), default=1000, show_default=True)
@@ -330,7 +336,7 @@ def gw_sim_cmd(ctx, mode, d, big_l, n, q, trials, cap, slope_range):
 
 
 @main.command("matching")
-@click.option("--n", type=click.IntRange(1), default=1000, show_default=True)
+@click.option("--n", type=click.IntRange(1, _MAX_VERTICES), default=1000, show_default=True)
 @click.option("--d", type=click.IntRange(1), default=5, show_default=True)
 @click.option("--cap", type=click.IntRange(1), default=acceptance.MATCHING_CAP, show_default=True)
 @click.option("--edge", default=None, help="query one edge, as 'u,v'")
@@ -420,13 +426,15 @@ def matching_cmd(ctx, n, d, cap, edge, trials, ordering, kwise_k, failure_budget
         sys.exit(EXIT_BUDGET)
 
 
-def _coloring_command(kind: str, help_text: str, input_help: str) -> None:
+def _coloring_command(kind: str, instance: str, help_text: str, input_help: str) -> None:
     """Register the ``coloring`` or ``ksat`` command; they differ only in
-    which :data:`coloring.PROBLEMS` entry they run."""
+    which :data:`coloring.PROBLEMS` entry they run and in the
+    :data:`graphs.ITEM_LIMITS` entry of its ``instance`` type."""
+    items = click.IntRange(1, graphs.ITEM_LIMITS[instance])
 
     @main.command(kind, help=help_text)
-    @click.option("--m", type=click.IntRange(1), default=800, show_default=True)
-    @click.option("--n", type=click.IntRange(1), default=40, show_default=True)
+    @click.option("--m", type=items, default=800, show_default=True)
+    @click.option("--n", type=items, default=40, show_default=True)
     @click.option("--k", type=click.IntRange(2), default=40, show_default=True)
     @click.option("--d", type=click.IntRange(0), default=2, show_default=True)
     @click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False),
@@ -507,11 +515,13 @@ def _coloring_command(kind: str, help_text: str, input_help: str) -> None:
 
 _coloring_command(
     "coloring",
+    "hypergraph",
     "Query-complete hypergraph 2-colorings with validity checking.",
     "hypergraph file to color instead of generating",
 )
 _coloring_command(
     "ksat",
+    "cnf",
     "Query-complete satisfying assignments with validity checking.",
     "DIMACS file to satisfy instead of generating",
 )
@@ -554,8 +564,8 @@ def _capacities(scheme: str, n: int, m: int, path: str | None = None) -> list[in
 
 
 @main.command("balls-bins")
-@click.option("--n", type=click.IntRange(0), default=10000, show_default=True)
-@click.option("--m", type=click.IntRange(1), default=10000, show_default=True)
+@click.option("--n", type=click.IntRange(0, _MAX_BALLS_BINS), default=10000, show_default=True)
+@click.option("--m", type=click.IntRange(1, _MAX_BALLS_BINS), default=10000, show_default=True)
 @click.option("--d", type=click.IntRange(1), default=2, show_default=True)
 @click.option("--rule", type=click.Choice(sorted(ballsbins.RULES)), default="least-loaded")
 @click.option("--capacities", type=click.Path(exists=True, dir_okay=False), default=None,
@@ -619,8 +629,9 @@ def balls_bins_cmd(ctx, n, m, d, rule, capacities, cap_constant, trials, failure
 
 @main.command("oracle-compare")
 @click.option("--target", type=click.Choice(["matching", "balls-bins"]), default="matching")
-@click.option("--n", type=click.IntRange(1), default=1000, show_default=True)
-@click.option("--m", type=click.IntRange(1), default=1000, show_default=True)
+@click.option("--n", type=click.IntRange(1, min(_MAX_VERTICES, _MAX_BALLS_BINS)), default=1000,
+              show_default=True)
+@click.option("--m", type=click.IntRange(1, _MAX_BALLS_BINS), default=1000, show_default=True)
 @click.option("--d", type=click.IntRange(1), default=5, show_default=True)
 @click.option("--rule", type=click.Choice(sorted(ballsbins.RULES)), default="least-loaded")
 @click.option("--trials", type=click.IntRange(1), default=10, show_default=True)
@@ -692,7 +703,7 @@ def oracle_compare_cmd(ctx, target, n, m, d, rule, trials, cap):
 
 
 @main.command("lower-bound")
-@click.option("--path-len", type=click.IntRange(2), default=5, show_default=True)
+@click.option("--path-len", type=click.IntRange(2, _MAX_VERTICES), default=5, show_default=True)
 @click.option("--trials", type=click.IntRange(1), default=100000, show_default=True)
 @click.pass_context
 def lower_bound_cmd(ctx, path_len, trials):

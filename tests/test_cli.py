@@ -1,6 +1,12 @@
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
 import warnings
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -16,6 +22,10 @@ from lcakit.graphs import dump_cnf, dump_hypergraph, gen_cnf, gen_hypergraph
 from lcakit.ranks import Seed
 
 SEED_HEX = "5eed" * 16
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 @pytest.fixture
@@ -130,6 +140,51 @@ class TestExitCodes:
             main, ["--seed", SEED_HEX, "coloring", "--k", "20", "--d", "2"]
         )
         assert result.exit_code == 2  # inadmissible thresholds in strict mode
+
+    @pytest.mark.parametrize(
+        "kind,text,limit",
+        [
+            ("coloring", "hypergraph m=99999999999999999999\n", "hypergraph limit of 4000000"),
+            ("ksat", "p cnf 99999999999999999999 0\n", "cnf limit of 2000000"),
+        ],
+    )
+    def test_over_limit_file_exits_before_it_is_built(self, tmp_path, kind, text, limit):
+        path = tmp_path / "huge"
+        path.write_text(text)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        # its own process, under 1 GiB of address space and a timeout, so a
+        # loader that builds first cannot take the machine's memory
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "lcakit.cli", kind, "--input", str(path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=30, preexec_fn=_limit_address_space,
+        )
+        assert time.perf_counter() - start < 1
+        assert result.returncode == 2, result.stderr
+        assert limit in result.stderr
+
+    @pytest.mark.parametrize(
+        "command,flag,kinds",
+        [
+            ("tree-stats", "--n", ["graph"]),
+            ("matching", "--n", ["graph"]),
+            ("lower-bound", "--path-len", ["graph"]),
+            ("coloring", "--m", ["hypergraph"]),
+            ("coloring", "--n", ["hypergraph"]),
+            ("ksat", "--m", ["cnf"]),
+            ("ksat", "--n", ["cnf"]),
+            ("balls-bins", "--n", ["balls-bins"]),
+            ("balls-bins", "--m", ["balls-bins"]),
+            ("oracle-compare", "--n", ["graph", "balls-bins"]),  # vertices or balls
+            ("oracle-compare", "--m", ["balls-bins"]),
+        ],
+    )
+    def test_size_flag_above_its_item_limit_is_a_usage_error(self, runner, command, flag, kinds):
+        limit = min(graphs.ITEM_LIMITS[k] for k in kinds)
+        result = runner.invoke(main, [command, flag, str(limit + 1)])
+        assert result.exit_code == 2
+        assert f"x<={limit}" in result.output
 
     def test_one_literal_clauses_are_a_usage_error_when_lenient(self, runner, tmp_path):
         path = tmp_path / "k1.cnf"

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcakit.graphs import (
+    ITEM_LIMITS,
     BipartiteChoices,
     CnfFormula,
     Hypergraph,
@@ -348,6 +349,23 @@ class TestTextFormats:
     def test_cnf_missing_terminator(self):
         with pytest.raises(ValueError, match="line 2"):
             load_cnf(["p cnf 2 1", "1 -2"])
+
+    def test_hypergraph_over_the_item_limit_is_refused(self, monkeypatch):
+        monkeypatch.setitem(ITEM_LIMITS, "hypergraph", 3)
+        assert load_hypergraph(["hypergraph m=3", "e 0 1", "e 1 2", "e 0 2"]).n == 3
+        with pytest.raises(ValueError, match="vertices=4 is over the hypergraph limit of 3 items"):
+            load_hypergraph(["hypergraph m=4"])
+        with pytest.raises(ValueError, match="hyperedges=4 is over the hypergraph limit of 3"):
+            load_hypergraph(["hypergraph m=3", "e 0 1", "e 1 2", "e 0 2", "e 0 1"])
+
+    def test_cnf_over_the_item_limit_is_refused(self, monkeypatch):
+        monkeypatch.setitem(ITEM_LIMITS, "cnf", 3)
+        assert load_cnf(["p cnf 3 3", "1 2 0", "2 3 0", "-1 3 0"]).n == 3
+        with pytest.raises(ValueError, match="variables=4 is over the cnf limit of 3 items"):
+            load_cnf(["p cnf 4 0"])
+        # the header is refused before any clause line is read
+        with pytest.raises(ValueError, match="clauses=4 is over the cnf limit of 3 items"):
+            load_cnf(["p cnf 3 4", "not a clause"])
 
 
 # Digests of generated hypergraphs and CNFs (edges or clauses with their
