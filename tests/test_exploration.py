@@ -1,5 +1,6 @@
 import hashlib
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from lcakit.exploration import (
     Regular,
     TreeStatsSpec,
     _binomial_draw,
+    _closure,
     explore,
     explore_sizes,
     gw_sizes,
@@ -141,6 +143,26 @@ class TestExplore:
     def test_cap_must_be_positive(self):
         with pytest.raises(ValueError):
             explore(path_graph(3), 0, SEED, cap=0)
+
+
+class TestClosureKeying:
+    def test_keys_each_item_once_per_visit_and_never_a_member_again(self):
+        # root 0 (key 100) reaches 1 (20) and 2 (90); 3 (50) is rejected
+        # from 1 and joins from 2; 4 (200) is rejected from 0 and from 2
+        g = LocalGraph.from_edges(5, [(0, 1), (0, 2), (1, 3), (2, 3), (0, 4), (2, 4)])
+        keys = {0: 100, 1: 20, 2: 90, 3: 50, 4: 200}
+        calls = Counter()
+
+        def key_of(v):
+            calls[v] += 1
+            return keys[v]
+
+        members, scans, truncated = _closure(g.neighbors, 0, key_of, 10)
+        # the root once, then once per visit of a non-member: no key at a
+        # pop, at a member neighbor, or in a sort
+        assert calls == {0: 1, 1: 1, 2: 1, 3: 2, 4: 2}
+        assert members == {0: 100, 1: 20, 2: 90, 3: 50}
+        assert (scans, truncated) == (4, False)
 
 
 class TestLowerBoundExperiment:
