@@ -39,8 +39,10 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest node ids that must fail
 
 
+BALLSBINS = "src/lcakit/ballsbins.py"
 CLI = "src/lcakit/cli.py"
 COLORING = "src/lcakit/coloring.py"
+EXPLORATION = "src/lcakit/exploration.py"
 GRAPHS = "src/lcakit/graphs.py"
 MATCHING = "src/lcakit/matching.py"
 RANKS = "src/lcakit/ranks.py"
@@ -198,8 +200,8 @@ MUTANTS = [
     Mutant(
         "lower-bound-walk-one-short",
         "src/lcakit/exploration.py",
-        "        order, _, _ = _closure(g.neighbors, 0, key_of, path_len)",
-        "        order, _, _ = _closure(g.neighbors, 0, key_of, path_len - 1)",
+        "        members, _, _ = _closure(g.neighbors, 0, key_of, path_len)",
+        "        members, _, _ = _closure(g.neighbors, 0, key_of, path_len - 1)",
         (
             "tests/test_exploration.py::TestLowerBoundExperiment::test_two_vertex_path_near_half",
             "tests/test_cli.py::test_pinned_report[lower-bound-json]",
@@ -259,8 +261,8 @@ MUTANTS = [
     Mutant(
         "is-matched-lowest-edge-verdict",
         MATCHING,
-        "    for f in order:  # ascending rank",
-        "    for f in order[:1]:  # ascending rank",
+        "    for k in sorted(members.values()):  # ascending rank; the root",
+        "    for k in sorted(members.values())[:1]:  # ascending rank; the root",
         (
             "tests/test_matching.py::TestIsMatched::test_triangle_only_lowest_rank_matched",
             "tests/test_matching.py::test_pinned_verdicts",
@@ -324,6 +326,141 @@ MUTANTS = [
         (
             "tests/test_cli.py::TestExitCodes::test_one_literal_clauses_are_a_usage_error_when_lenient",
         ),
+    ),
+    Mutant(
+        "closure-member-keeps-parent-key",
+        EXPLORATION,
+        "                    members[w] = kw\n",
+        "                    members[w] = kv\n",
+        (
+            "tests/test_exploration.py::TestClosureKeying::test_keys_each_item_once_per_visit_and_never_a_member_again",
+            "tests/test_matching.py::test_pinned_verdicts",
+            "tests/test_ballsbins.py::test_pinned_assignments[least-loaded]",
+        ),
+    ),
+    Mutant(
+        "ball-replay-without-key-sort",
+        BALLSBINS,
+        "    for k in sorted(members.values()):  # ascending rank",
+        "    for k in members.values():  # ascending rank",
+        (
+            "tests/test_ballsbins.py::TestAssignQuery::test_matches_global_run",
+            "tests/test_ballsbins.py::TestAssignAll::test_equals_per_ball_queries",
+        ),
+    ),
+    Mutant(
+        "rank-value-little-endian",
+        RANKS,
+        '    return _from_bytes(h.digest(), "big")',
+        '    return _from_bytes(h.digest(), "little")',
+        (
+            "tests/test_ranks.py::TestRankOf::test_frozen_value",
+            "tests/test_matching.py::test_pinned_verdicts",
+        ),
+    ),
+    Mutant(
+        "coin-from-wrong-byte",
+        RANKS,
+        "        return h.digest()[7] & 1",
+        "        return h.digest()[0] & 1",
+        (
+            "tests/test_ranks.py::TestRandomInRange::test_coin_is_the_range_two_draw",
+            "tests/test_coloring.py::test_pinned_answers_and_costs",
+        ),
+    ),
+    Mutant(
+        "loader-item-limit-dropped",
+        GRAPHS,
+        "        if count > limit:\n",
+        "        if False:\n",
+        (
+            "tests/test_graphs.py::TestTextFormats::test_hypergraph_over_the_item_limit_is_refused",
+            "tests/test_graphs.py::TestTextFormats::test_cnf_over_the_item_limit_is_refused",
+        ),
+    ),
+    Mutant(
+        "full-matching-lower-at-one-endpoint",
+        MATCHING,
+        "        lows += b[: bisect_left(b, k)]\n",
+        "",
+        ("tests/test_matching.py::test_pinned_full_matching",),
+    ),
+    Mutant(
+        "full-matching-edge-at-one-endpoint",
+        MATCHING,
+        "            at[v].append(k)\n",
+        "            pass\n",
+        (
+            "tests/test_matching.py::test_pinned_full_matching",
+            "tests/test_matching.py::TestOracleEquivalence::test_full_matching_equals_global_greedy",
+        ),
+    ),
+    Mutant(
+        "is-matched-covers-one-endpoint",
+        MATCHING,
+        "            covered.update((u, v))",
+        "            covered.add(u)",
+        (
+            "tests/test_matching.py::test_pinned_verdicts",
+            "tests/test_matching.py::TestOracleEquivalence::test_matches_arrival_order_oracle_exhaustively",
+        ),
+    ),
+    Mutant(
+        "is-matched-checks-one-endpoint",
+        MATCHING,
+        "if matched := u not in covered and v not in covered:",
+        "if matched := u not in covered:",
+        (
+            "tests/test_matching.py::test_pinned_verdicts",
+            "tests/test_matching.py::TestIsMatched::test_triangle_only_lowest_rank_matched",
+        ),
+    ),
+    Mutant(
+        "explore-sizes-cap-one-late",
+        EXPLORATION,
+        "_closure(g.neighbors, root, key_of, spec.cap)",
+        "_closure(g.neighbors, root, key_of, spec.cap + 1)",
+        ("tests/test_exploration.py::TestTreeStats::test_sizes_are_explore_sizes_where_the_cap_cuts",),
+    ),
+    Mutant(
+        "bulk-keys-bypass-rank-value",
+        RANKS,
+        "        values = map(_rank_value, repeat(_rank_state(seed)), items, repeat(universe))",
+        '        values = (_from_bytes(_digest(seed, b"rank", x.to_bytes(8, "big"), 8), "big") for x in items)',
+        (
+            "tests/test_ranks.py::TestKeyFunctions::test_rank_keys_hash_each_item_once",
+            "tests/test_ranks.py::TestKeyFunctions::test_full_matching_hashes_each_edge_once",
+            "tests/test_ranks.py::TestKeyFunctions::test_assign_all_hashes_each_ball_once",
+        ),
+    ),
+    Mutant(
+        "kwise-value-without-range-check",
+        RANKS,
+        "    def value(item: int) -> int:\n"
+        "        if not 0 <= item < universe:\n"
+        "            raise _outside(item, universe)\n",
+        "    def value(item: int) -> int:\n",
+        (
+            "tests/test_ranks.py::TestKeyFunctions::test_out_of_universe_raises[16-kind1]",
+            "tests/test_ranks.py::TestKeyFunctions::test_out_of_universe_raises[-1-kind1]",
+        ),
+    ),
+    Mutant(
+        "edge-message-without-trial",
+        CLI,
+        'f"--edge in trial {t}: {exc}"',
+        'f"--edge: {exc}"',
+        (
+            "tests/test_cli.py::TestSubcommandBehavior::test_matching_nonexistent_edge_is_usage_error",
+            "tests/test_cli.py::TestSubcommandBehavior::test_matching_edge_is_checked_in_each_trial",
+        ),
+    ),
+    Mutant(
+        "rank-order-ignores-value",
+        RANKS,
+        "    value: int\n    owner: int\n",
+        '    value: int = __import__("dataclasses").field(compare=False)\n    owner: int\n',
+        ("tests/test_ranks.py::TestCompare::test_value_order",),
     ),
 ]
 assert all(m.tests for m in MUTANTS), "every mutant names the tests that must fail"
