@@ -207,6 +207,19 @@ _MAX_VERTICES = graphs.ITEM_LIMITS["graph"]
 _MAX_BALLS_BINS = graphs.ITEM_LIMITS["balls-bins"]
 
 
+def _check_degree(kind: str, n: int, d: int) -> None:
+    """Refuse ``--n`` times ``--d`` over ``kind``'s item limit times the
+    degree that limit was measured at (5 for a graph, 2 for balls and bins),
+    so that ``--d`` asks for no instance too large to build, and every size
+    the item limit allows at that degree stays allowed."""
+    limit = graphs.ITEM_LIMITS[kind] * (5 if kind == "graph" else 2)
+    if n * d > limit:
+        raise click.BadParameter(
+            f"--n {n} times --d {d} is over the {kind} limit of {limit} (items times degree)",
+            param_hint="'--d'",
+        )
+
+
 @click.group()
 @click.option(
     "--seed",
@@ -229,10 +242,16 @@ def main(ctx, seed, fmt, out, jobs):
     ctx.obj = {"seed": parsed, "fmt": fmt, "out": out, "jobs": jobs, "t0": time.time()}
 
 
-def _finish(ctx, subcommand: str, spec: dict, results: dict, csv_rows=None):
-    """Emit the report, with the run's seed hex added to ``spec`` as
-    ``"seed"``, then print the wall clock since :func:`main` to stderr."""
-    spec = {"seed": ctx.obj["seed"].hex(), **spec}
+def _finish(ctx, results: dict, csv_rows=None, **used):
+    """Emit the report, then print the wall clock since :func:`main` to stderr.
+
+    The report's spec is the run's seed hex and every flag of the command,
+    each as parsed, or as ``used`` says the command took it.  It leaves out
+    only ``--failure-budget``, which sets the exit code and no result.
+    """
+    spec = {"seed": ctx.obj["seed"].hex(), **ctx.params, **used}
+    spec.pop("failure_budget", None)
+    subcommand = ctx.command.name
     _emit(_report(subcommand, spec, results), ctx.obj["out"], ctx.obj["fmt"], csv_rows)
     click.echo(f"[{subcommand}] wall clock {time.time() - ctx.obj['t0']:.2f}s", err=True)
 
@@ -249,6 +268,7 @@ def _finish(ctx, subcommand: str, spec: dict, results: dict, csv_rows=None):
 def tree_stats_cmd(ctx, generator, n, d, instances, queries, cap, thresholds):
     """Relevant-set size statistics over many (instance, root) trials."""
     thresh = tuple(_int_list(thresholds, "--thresholds"))
+    _check_degree("graph", n, d)
     if generator == "binomial" and d >= n:
         raise click.UsageError("binomial generator needs d < n")
     experiment = TreeStatsSpec(generator, n, d, instances, queries, cap)
@@ -260,28 +280,18 @@ def tree_stats_cmd(ctx, generator, n, d, instances, queries, cap, thresholds):
         sizes.extend(chunk_sizes)
         truncated += chunk_trunc
     stats = stats_from_sizes(sizes, thresh, truncated)
-    spec = {
-        "generator": generator,
-        "n": n,
-        "d": d,
-        "instances": instances,
-        "queries": queries,
-        "cap": cap,
-        "thresholds": list(thresh),
-    }
     _finish(
         ctx,
-        "tree-stats",
-        spec,
         stats.to_dict(),
         csv_rows=lambda: (["size", "count"], list(stats.sizes)),
+        thresholds=list(thresh),
     )
 
 
 @main.command("gw-sim")
 @click.option("--mode", type=click.Choice(["regular", "binomial"]), default="regular")
 @click.option("--d", type=click.IntRange(0), default=3, show_default=True)
-@click.option("--big-l", "big_l", type=click.IntRange(1), default=9, show_default=True)
+@click.option("--big-l", "L", type=click.IntRange(1), default=9, show_default=True)
 @click.option("--n", type=click.IntRange(1), default=10000, show_default=True)
 @click.option("--q", type=click.FloatRange(0, 1), default=None,
               help="binomial offspring probability; defaults to d/(n*L)")
@@ -289,11 +299,11 @@ def tree_stats_cmd(ctx, generator, n, d, instances, queries, cap, thresholds):
 @click.option("--cap", type=click.IntRange(1), default=1 << 20, show_default=True)
 @click.option("--slope-range", default="5,30", show_default=True)
 @click.pass_context
-def gw_sim_cmd(ctx, mode, d, big_l, n, q, trials, cap, slope_range):
+def gw_sim_cmd(ctx, mode, d, L, n, q, trials, cap, slope_range):
     """Monte-Carlo branching-tree sizes for the idealized growth process."""
     if q is None:
-        q = d / (n * big_l)
-    if mode == "regular" and d >= big_l:
+        q = d / (n * L)
+    if mode == "regular" and d >= L:
         raise click.UsageError("regular mode needs d < L (subcritical)")
     if mode == "binomial" and n * q >= 1:
         raise click.UsageError("binomial mode needs n*q < 1 (subcritical)")
@@ -303,7 +313,7 @@ def gw_sim_cmd(ctx, mode, d, big_l, n, q, trials, cap, slope_range):
         raise click.BadParameter(
             "expected 'lo,hi' integers", param_hint="'--slope-range'"
         ) from None
-    offspring = Regular(d, big_l) if mode == "regular" else Binomial(n, q)
+    offspring = Regular(d, L) if mode == "regular" else Binomial(n, q)
     jobs = ctx.obj["jobs"]
     chunks = [range(trials * i // jobs, trials * (i + 1) // jobs) for i in range(jobs)]
     worker = partial(_gw_chunk_sizes, ctx.obj["seed"], offspring, cap)
@@ -316,23 +326,7 @@ def gw_sim_cmd(ctx, mode, d, big_l, n, q, trials, cap, slope_range):
     results = stats.to_dict()
     results["tail_slope"] = slope
     results["mode"] = mode
-    spec = {
-        "mode": mode,
-        "d": d,
-        "L": big_l,
-        "n": n,
-        "q": q,
-        "trials": trials,
-        "cap": cap,
-        "slope_range": slope_range,
-    }
-    _finish(
-        ctx,
-        "gw-sim",
-        spec,
-        results,
-        csv_rows=lambda: (["size", "count"], list(stats.sizes)),
-    )
+    _finish(ctx, results, csv_rows=lambda: (["size", "count"], list(stats.sizes)), q=q)
 
 
 @main.command("matching")
@@ -347,6 +341,7 @@ def gw_sim_cmd(ctx, mode, d, big_l, n, q, trials, cap, slope_range):
 @click.pass_context
 def matching_cmd(ctx, n, d, cap, edge, trials, ordering, kwise_k, failure_budget):
     """Per-edge matching verdicts or full-matching summaries with probe stats."""
+    _check_degree("graph", n, d)
     seed = ctx.obj["seed"]
     kind = _ordering(ordering, kwise_k, n * n)
     if edge is not None:
@@ -405,19 +400,8 @@ def matching_cmd(ctx, n, d, cap, edge, trials, ordering, kwise_k, failure_budget
                 }
             )
     results = {"trials": trials, "failures": failures, "per_trial": per_trial}
-    spec = {
-        "n": n,
-        "d": d,
-        "cap": cap,
-        "edge": edge,
-        "trials": trials,
-        "ordering": ordering,
-        "kwise_k": kwise_k,
-    }
     _finish(
         ctx,
-        "matching",
-        spec,
         results,
         csv_rows=lambda: (["trial", "u", "v", "matched", "probes", "edges_evaluated"], rows),
     )
@@ -435,23 +419,25 @@ def _coloring_command(kind: str, instance: str, help_text: str, input_help: str)
     @main.command(kind, help=help_text)
     @click.option("--m", type=items, default=800, show_default=True)
     @click.option("--n", type=items, default=40, show_default=True)
-    @click.option("--k", type=click.IntRange(2), default=40, show_default=True)
+    # --k stops there too: generation needs m >= k, and the admissibility
+    # check computes 2**(k - 3*delta - 1) before generation starts
+    @click.option("--k", type=click.IntRange(2, graphs.ITEM_LIMITS[instance]), default=40,
+                  show_default=True)
     @click.option("--d", type=click.IntRange(0), default=2, show_default=True)
-    @click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False),
+    @click.option("--input", type=click.Path(exists=True, dir_okay=False),
                   default=None, help=input_help)
     @click.option("--trials", type=click.IntRange(1), default=1, show_default=True)
-    @click.option("--strict/--lenient", "strict", default=True, show_default=True)
+    @click.option("--lenient/--strict", default=False, show_default=True)
     @click.option("--failure-budget", type=click.FloatRange(0), default=0.01, show_default=True)
     @click.pass_context
-    def command(ctx, m, n, k, d, input_path, trials, strict, failure_budget):
-        lenient = not strict
+    def command(ctx, m, n, k, d, input, trials, lenient, failure_budget):
         inst = None
-        if input_path is not None:
+        if input is not None:
             try:
-                with open(input_path) as fh:
+                with open(input) as fh:
                     inst = coloring.PROBLEMS[kind].load(fh)
             except (OSError, ValueError) as exc:
-                raise click.UsageError(f"cannot load {input_path}: {exc}")
+                raise click.UsageError(f"cannot load {input}: {exc}")
             m, n, k, d = inst.m, inst.n, inst.k, inst.dependency_degree
         try:
             if n > 0:
@@ -489,24 +475,11 @@ def _coloring_command(kind: str, instance: str, help_text: str, input_help: str)
                 for o in outs
             ],
         }
-        spec = {
-            "m": m,
-            "n": n,
-            "k": k,
-            "d": d,
-            "trials": trials,
-            "lenient": lenient,
-            "input": input_path,
-        }
         _finish(
             ctx,
-            kind,
-            spec,
             results,
-            csv_rows=lambda: (
-                ["item", "value"],
-                list(enumerate(rendered)),
-            ),
+            csv_rows=lambda: (["item", "value"], list(enumerate(rendered))),
+            m=m, n=n, k=k, d=d,
         )
         if (failures + invalid) / trials > failure_budget:
             click.echo(f"failure budget exceeded: {failures + invalid}/{trials}", err=True)
@@ -577,6 +550,7 @@ def _capacities(scheme: str, n: int, m: int, path: str | None = None) -> list[in
 @click.pass_context
 def balls_bins_cmd(ctx, n, m, d, rule, capacities, cap_constant, trials, failure_budget):
     """Local load balancing: failure rate, max-load and probe statistics."""
+    _check_degree("balls-bins", n, d)
     caps = _capacities(ballsbins.RULES[rule].scheme, n, m, capacities)
     cap = ballsbins.default_cap(m, cap_constant)
     worker = partial(_ballsbins_worker, n, m, d, rule, caps, cap, ctx.obj["seed"])
@@ -607,18 +581,8 @@ def balls_bins_cmd(ctx, n, m, d, rule, capacities, cap_constant, trials, failure
         for o in outs
         for (ball, bin_, failed, probes) in o["rows"]
     ]
-    spec = {
-        "n": n,
-        "m": m,
-        "d": d,
-        "rule": rule,
-        "cap_constant": cap_constant,
-        "trials": trials,
-    }
     _finish(
         ctx,
-        "balls-bins",
-        spec,
         results,
         csv_rows=lambda: (["trial", "ball", "bin", "failed", "probes"], rows),
     )
@@ -639,6 +603,7 @@ def balls_bins_cmd(ctx, n, m, d, rule, capacities, cap_constant, trials, failure
 @click.pass_context
 def oracle_compare_cmd(ctx, target, n, m, d, rule, trials, cap):
     """Compare every local answer against the global oracle run."""
+    _check_degree("graph" if target == "matching" else "balls-bins", n, d)
     seed = ctx.obj["seed"]
     the_rule = ballsbins.RULES[rule]
     caps = _capacities(the_rule.scheme, n, m) if target == "balls-bins" else None
@@ -678,19 +643,8 @@ def oracle_compare_cmd(ctx, target, n, m, d, rule, trials, cap):
         "mismatches": mismatches,
         "failures": failures,
     }
-    spec = {
-        "target": target,
-        "n": n,
-        "m": m,
-        "d": d,
-        "rule": rule,
-        "trials": trials,
-        "cap": cap,
-    }
     _finish(
         ctx,
-        "oracle-compare",
-        spec,
         results,
         csv_rows=lambda: (
             ["compared", "mismatches", "failures"],
@@ -717,11 +671,8 @@ def lower_bound_cmd(ctx, path_len, trials):
         "standard_error": se,
         "trials": trials,
     }
-    spec = {"path_len": path_len, "trials": trials}
     _finish(
         ctx,
-        "lower-bound",
-        spec,
         results,
         csv_rows=lambda: (["frequency", "expected", "trials"], [(freq, expected, trials)]),
     )

@@ -465,18 +465,12 @@ class BipartiteChoices:
         if len(choices) != n_balls:
             raise ValueError(f"expected {n_balls} choice rows, got {len(choices)}")
         rows = list(map(tuple, choices))
-        flat = list(chain.from_iterable(rows))
-        if not (
-            set(map(len, rows)) <= {d}
-            and 0 <= min(flat, default=0)
-            and max(flat, default=0) < m_bins
-        ):
-            for ball, row in enumerate(rows):  # report the first bad ball
-                if len(row) != d:
-                    raise ValueError(f"ball {ball} has {len(row)} choices, expected {d}")
-                for u in row:
-                    if not 0 <= u < m_bins:
-                        raise ValueError(f"ball {ball} chose bin {u} out of range")
+        for ball, row in enumerate(rows):  # report the first bad ball
+            if len(row) != d:
+                raise ValueError(f"ball {ball} has {len(row)} choices, expected {d}")
+            for u in row:
+                if not 0 <= u < m_bins:
+                    raise ValueError(f"ball {ball} chose bin {u} out of range")
         if capacities is not None:
             capacities = _checked_capacities(capacities, m_bins, n_balls)
         if group_of is not None:

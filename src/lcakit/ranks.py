@@ -306,20 +306,8 @@ def derive_subseed(seed: Seed, label: bytes) -> Seed:
 
 
 def random_in_range(seed: Seed, label: bytes, bound: int) -> int:
-    """Uniform integer in [0, bound), a pure function of (seed, label):
-    ``RandomStream(seed, b"range:" + label).randrange(bound)``."""
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    if bound == 1:
-        return 0
-    name = b"range:" + bytes(label)
-    if bound <= _U64:
-        # The stream's first word (block 0, bytes 0-7) almost always passes:
-        # read it without building the stream, which replays it on a rejection.
-        r = _from_bytes(_digest(seed, b"stream", name + _BLOCK_0, 64)[:8], "big")
-        if r < _U64 - _U64 % bound:
-            return r % bound
-    return RandomStream(seed, name).randrange(bound)
+    """Uniform integer in [0, bound), a pure function of (seed, label)."""
+    return RandomStream(seed, b"range:" + bytes(label)).randrange(bound)
 
 
 def coin_fn(seed: Seed):

@@ -351,21 +351,21 @@ PINNED = {  # rule: (scheme, answer digest, cost digest)
 }
 
 
+def _pin_instances(name):
+    """(instance, rank seed) of ``name``'s pins for d in {1, 2, 3}."""
+    scheme = PINNED[name][0]
+    m, caps = (150, [1, 3] * 75) if scheme == "capacity" else (300, None)
+    for d in (1, 2, 3):
+        seed = derive_subseed(SEED, b"pin:%s:%d" % (name.encode(), d))
+        bc = gen_bipartite_choices(seed, 300, m, d, scheme, capacities=caps)
+        yield bc, derive_subseed(SEED, b"pin-ranks:%d" % d)
+
+
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_assignments(name):
-    scheme, answer_digest, cost_digest = PINNED[name]
+    _, answer_digest, cost_digest = PINNED[name]
     answers, costs = hashlib.sha256(), hashlib.sha256()
-    for d in (1, 2, 3):
-        m, caps = (150, [1, 3] * 75) if scheme == "capacity" else (300, None)
-        bc = gen_bipartite_choices(
-            derive_subseed(SEED, b"pin:%s:%d" % (name.encode(), d)),
-            300,
-            m,
-            d,
-            scheme,
-            capacities=caps,
-        )
-        rseed = derive_subseed(SEED, b"pin-ranks:%d" % d)
+    for bc, rseed in _pin_instances(name):
         for cap in (None, 1, 2, 3, 5):
             assignments, _ = assign_all(bc, RULES[name], rseed, cap=cap)
             for a in assignments:
@@ -373,6 +373,29 @@ def test_pinned_assignments(name):
                 costs.update(b"%d %d\n" % (a.ball, a.probes))
     assert answers.hexdigest() == answer_digest
     assert costs.hexdigest() == cost_digest
+
+
+# sha256 of cold assign_query results, per rule on every 7th ball of the
+# instances above under caps {default, 3}: each (ball, bin, failed, probes).
+# assign_all walks no closure below its cap, so only these pin the replay of
+# a cold query's closure.
+COLD_PINNED = {
+    "least-loaded": "7c68b1a73516ac7fa9ade7a46657575396d0a9052d2e46550408323f139d5dc7",
+    "always-go-left": "775aa3b08452191a2f0ff150e14b3a045ef5489c926a22eb25d47333ece9fdbd",
+    "capacity": "7736d79362204527b14939fafe328268e3d27d29acfc4ab28766c510fbcdde41",
+    "circle": "c46828ec8fbba8da47743723ad4983f4a1714d7a2fa4f0783f88a878fd41619f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLD_PINNED))
+def test_pinned_cold_queries(name):
+    digest = hashlib.sha256()
+    for bc, rseed in _pin_instances(name):
+        for cap in (None, 3):
+            for ball in range(0, bc.n_balls, 7):
+                a = assign_query(bc, ball, RULES[name], rseed, cap=cap)
+                digest.update(b"%d %d %d %d\n" % (a.ball, a.bin, a.failed, a.probes))
+    assert digest.hexdigest() == COLD_PINNED[name]
 
 
 def test_all_ties_fall_to_ball_id():

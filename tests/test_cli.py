@@ -172,8 +172,10 @@ class TestExitCodes:
             ("lower-bound", "--path-len", ["graph"]),
             ("coloring", "--m", ["hypergraph"]),
             ("coloring", "--n", ["hypergraph"]),
+            ("coloring", "--k", ["hypergraph"]),
             ("ksat", "--m", ["cnf"]),
             ("ksat", "--n", ["cnf"]),
+            ("ksat", "--k", ["cnf"]),
             ("balls-bins", "--n", ["balls-bins"]),
             ("balls-bins", "--m", ["balls-bins"]),
             ("oracle-compare", "--n", ["graph", "balls-bins"]),  # vertices or balls
@@ -185,6 +187,65 @@ class TestExitCodes:
         result = runner.invoke(main, [command, flag, str(limit + 1)])
         assert result.exit_code == 2
         assert f"x<={limit}" in result.output
+
+    # Commands whose --n and --d size an instance: (arguments before them, the
+    # instance kind, and the degree that kind's item limit was measured at)
+    DEGREE_CASES = [
+        pytest.param(["matching"], "graph", 5, id="matching"),
+        pytest.param(["tree-stats"], "graph", 5, id="tree-stats"),
+        pytest.param(["oracle-compare"], "graph", 5, id="oracle-compare-matching"),
+        pytest.param(["balls-bins", "--m", "1000"], "balls-bins", 2, id="balls-bins"),
+        pytest.param(["oracle-compare", "--target", "balls-bins", "--m", "1000"],
+                     "balls-bins", 2, id="oracle-compare-balls-bins"),
+    ]
+
+    @staticmethod
+    def _over_degree(args, kind, degree):
+        """``args`` with ``--n 1000`` and a ``--d`` one above its limit there."""
+        d = graphs.ITEM_LIMITS[kind] * degree // 1000 + 1
+        return args + ["--n", "1000", "--d", str(d)], d
+
+    @pytest.fixture
+    def no_generation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("generation started")
+
+        monkeypatch.setattr(cli, "_generate", refuse)
+
+    @pytest.mark.parametrize("args,kind,degree", DEGREE_CASES)
+    def test_degree_over_its_limit_exits_before_anything_is_built(self, args, kind, degree):
+        argv, d = self._over_degree(args, kind, degree)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "lcakit.cli"] + argv,
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=30, preexec_fn=_limit_address_space,
+        )
+        assert time.perf_counter() - start < 1
+        assert result.returncode == 2, result.stderr
+        limit = graphs.ITEM_LIMITS[kind] * degree
+        assert f"--n 1000 times --d {d} is over the {kind} limit of {limit}" in result.stderr
+
+    @pytest.mark.parametrize("args,kind,degree", DEGREE_CASES)
+    def test_degree_over_its_limit_is_refused_before_generation(
+        self, runner, no_generation, args, kind, degree
+    ):
+        result = runner.invoke(main, self._over_degree(args, kind, degree)[0])
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize(
+        "command,kind,degree",
+        [("matching", "graph", 5), ("tree-stats", "graph", 5), ("oracle-compare", "graph", 5),
+         ("balls-bins", "balls-bins", 2)],
+    )
+    def test_item_limit_at_its_measured_degree_is_allowed(
+        self, runner, no_generation, command, kind, degree
+    ):
+        n = graphs.ITEM_LIMITS[kind]
+        result = runner.invoke(main, [command, "--n", str(n), "--d", str(degree)])
+        assert str(result.exception) == "generation started"
 
     def test_one_literal_clauses_are_a_usage_error_when_lenient(self, runner, tmp_path):
         path = tmp_path / "k1.cnf"
@@ -475,8 +536,9 @@ class TestSubcommandBehavior:
 # the report as the CLI writes it, less its cost fields (JSON keys anywhere in
 # the report) and cost columns (CSV); for a report with none, it is the
 # sha256 of the report's bytes.  The cost digest hashes those fields, each
-# with its JSON path, or those columns.  Runs with --input blank spec.input
-# before hashing, because the instance path varies between runs.
+# with its JSON path, or those columns.  Runs with --input or --capacities
+# blank that spec entry before hashing, because the file path varies between
+# runs.
 REPORT_CASES = {
     "coloring": (["coloring", "--m", "200", "--n", "10", "--k", "40", "--d", "2",
                   "--trials", "2"], 0),
@@ -570,7 +632,7 @@ REPORT_DIGESTS = {
         "434e037433755eb56014e9d302f1491e9bca9d2bf375a0ca6c47c685863a341a",
     ),
     ('balls-bins-least-loaded', 'json'): (
-        "a55c331ac755334bf6eba08a9d34f31e757bd275f3f9ff3bbfe2c4e724dab980",
+        "cdbc0fd8c4927a831652e8a0a5331f52016ef74988d3735c3072f0c914e8645c",
         "bde1630f3a954f3462463e4d36442290a62976e5b5cbe2ddee580675c9688535",
     ),
     ('balls-bins-least-loaded', 'csv'): (
@@ -578,7 +640,7 @@ REPORT_DIGESTS = {
         "08e250d78c6d870d29204d22c8fe3aaa4400dcd05624f31c02ead33f64ffb7c8",
     ),
     ('balls-bins-always-go-left', 'json'): (
-        "588b985df23554a3d6a9c278b6cec10f7922c347a76f1ee623dd679ce9571194",
+        "25d37f7503b4426d6019768761ab0a207ae20a8e137774b235671c1869c1caf8",
         "f4946cd4ba05d080b40fe8d38972be553e73080646189e201896fbbeccb9e3b9",
     ),
     ('balls-bins-always-go-left', 'csv'): (
@@ -586,7 +648,7 @@ REPORT_DIGESTS = {
         "2be20ad519d9bdf112dd3d8fa3b7f92cdbe4e46a23f743d0dbf9d482cb8725ad",
     ),
     ('balls-bins-capacity', 'json'): (
-        "ebe050b021502f9d1f1ff6d062ea7a9d10bd3a5912779ad05474a2d75bf25b7c",
+        "1f24f0dae1c5a2a9af2fc0a593f34a77a38258fb94362d9c4a5ac581bd3225ae",
         "fb5977d013edbd2e45e3e8262611ece2156c3c6db2bb70d9af57efe2ed6e49c2",
     ),
     ('balls-bins-capacity', 'csv'): (
@@ -594,7 +656,7 @@ REPORT_DIGESTS = {
         "0cfe31a948bdc5a4581802e064684821d55695748aceb9f7a06de49d0a7ce66a",
     ),
     ('balls-bins-capacity-file', 'json'): (
-        "88add6d8c7b5b0004dfd5fa0b782b1deaf9a2603b474cc38b48230d89c0e4c1f",
+        "7eaa028fbb9768587ecfde85419dc9c06654ce9771f0ce0f6b0d254f1ce4fa07",
         "c1272699e7a4131bf6254865d3ece62acc0f9ab5e238caa2b272acabab79d93d",
     ),
     ('balls-bins-capacity-file', 'csv'): (
@@ -602,7 +664,7 @@ REPORT_DIGESTS = {
         "d9d40ad8acef6898913dc7669d27a3a306705d4fa0c23397fd65417a6c019560",
     ),
     ('balls-bins-circle', 'json'): (
-        "96c5e4c6521c58fc2b33d0f9d269147dda2b78604e8334144eea0ca5efe126a7",
+        "37e3f441f222b62ac2151a210377340432b60630e36026d58f4288e79c971fc6",
         "4b7fc6c8b23288b4cd9f8c7ce4e44aa3f824cacec552c21b54a0af2aaa64d604",
     ),
     ('balls-bins-circle', 'csv'): (
@@ -712,8 +774,9 @@ def _report_digest(runner, tmp_path, case, fmt):
     text = out.read_text()
     if fmt == "json":
         report = json.loads(text)
-        if "--input" in args:
-            report["spec"]["input"] = ""
+        for flag in ("--input", "--capacities"):
+            if flag in args:
+                report["spec"][flag[2:]] = ""
         costs = []
         _pop_costs(report, "", costs)
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
@@ -751,6 +814,33 @@ def test_pinned_report(runner, tmp_path, case, fmt):
     answers, costs = _report_digest(runner, tmp_path, case, fmt)
     assert answers == REPORT_DIGESTS[(case, fmt)][0]
     assert costs == REPORT_DIGESTS[(case, fmt)][1]
+
+
+@pytest.mark.parametrize("case", [c for c in REPORT_CASES if c != "accept-9"])
+def test_echoed_spec_reproduces_the_report(runner, tmp_path, case):
+    """Rerunning the command line a report's spec echoes writes the same
+    report: each spec entry is the flag of the same name, a list joined by
+    commas, a bool as its on or off flag, and a null left out."""
+    args, exit_code = REPORT_CASES[case]
+    files = _instance_files(tmp_path)
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    argv = ["--seed", SEED_HEX, "--out", str(first)] + [a.format(**files) for a in args]
+    assert runner.invoke(main, argv).exit_code == exit_code
+    report = json.loads(first.read_text())
+    spec = dict(report["spec"])
+    params = {p.name: p for p in main.commands[report["subcommand"]].params}
+    argv = ["--seed", spec.pop("seed"), "--out", str(again), report["subcommand"]]
+    for key, value in spec.items():
+        param = params[key]
+        if isinstance(value, bool):
+            argv.append(param.opts[0] if value else param.secondary_opts[0])
+        elif isinstance(value, list):
+            argv += [param.opts[0], ",".join(map(str, value))]
+        elif value is not None:
+            argv += [param.opts[0], str(value)]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == exit_code, result.output
+    assert again.read_bytes() == first.read_bytes()
 
 
 @pytest.mark.parametrize("kind", ["coloring", "ksat"])

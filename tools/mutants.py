@@ -219,8 +219,8 @@ MUTANTS = [
     Mutant(
         "finish-without-seed-echo",
         CLI,
-        '    spec = {"seed": ctx.obj["seed"].hex(), **spec}\n',
-        "",
+        '    spec = {"seed": ctx.obj["seed"].hex(), **ctx.params, **used}\n',
+        "    spec = {**ctx.params, **used}\n",
         (
             "tests/test_cli.py::TestReports::test_seed_env_var",
             "tests/test_cli.py::test_pinned_report[lower-bound-json]",
@@ -322,7 +322,7 @@ MUTANTS = [
         "cli-thresholds-strict-only",
         CLI,
         "            if n > 0:\n                with warnings.catch_warnings():\n",
-        "            if strict and n > 0:\n                with warnings.catch_warnings():\n",
+        "            if not lenient and n > 0:\n                with warnings.catch_warnings():\n",
         (
             "tests/test_cli.py::TestExitCodes::test_one_literal_clauses_are_a_usage_error_when_lenient",
         ),
@@ -346,6 +346,7 @@ MUTANTS = [
         (
             "tests/test_ballsbins.py::TestAssignQuery::test_matches_global_run",
             "tests/test_ballsbins.py::TestAssignAll::test_equals_per_ball_queries",
+            "tests/test_ballsbins.py::test_pinned_cold_queries[least-loaded]",
         ),
     ),
     Mutant(
@@ -461,6 +462,56 @@ MUTANTS = [
         "    value: int\n    owner: int\n",
         '    value: int = __import__("dataclasses").field(compare=False)\n    owner: int\n',
         ("tests/test_ranks.py::TestCompare::test_value_order",),
+    ),
+    Mutant(
+        "finish-drops-flags",
+        CLI,
+        '"seed": ctx.obj["seed"].hex(), **ctx.params, **used}',
+        '"seed": ctx.obj["seed"].hex(), **used}',
+        (
+            "tests/test_cli.py::test_pinned_report[matching-json]",
+            "tests/test_cli.py::test_pinned_report[lower-bound-json]",
+            "tests/test_cli.py::test_echoed_spec_reproduces_the_report[balls-bins-capacity-file]",
+        ),
+    ),
+    Mutant(
+        "finish-echoes-failure-budget",
+        CLI,
+        '    spec.pop("failure_budget", None)\n',
+        "",
+        (
+            "tests/test_cli.py::test_pinned_report[matching-json]",
+            "tests/test_cli.py::test_pinned_report[coloring-json]",
+            "tests/test_cli.py::test_pinned_report[balls-bins-least-loaded-json]",
+        ),
+    ),
+    Mutant(
+        "degree-limit-dropped",
+        CLI,
+        "    if n * d > limit:\n",
+        "    if False:\n",
+        (
+            "tests/test_cli.py::TestExitCodes::test_degree_over_its_limit_is_refused_before_generation[matching]",
+            "tests/test_cli.py::TestExitCodes::test_degree_over_its_limit_is_refused_before_generation[balls-bins]",
+        ),
+    ),
+    Mutant(
+        "choices-range-check-inclusive",
+        GRAPHS,
+        "if not 0 <= u < m_bins:",
+        "if not 0 <= u <= m_bins:",
+        ("tests/test_graphs.py::TestStreamGeneratorPins::test_pinned_choices_messages",),
+    ),
+    Mutant(
+        "range-draw-without-prefix",
+        RANKS,
+        'RandomStream(seed, b"range:" + bytes(label))',
+        "RandomStream(seed, bytes(label))",
+        (
+            "tests/test_ranks.py::TestRandomInRange::test_deterministic",
+            "tests/test_ranks.py::TestRandomInRange::test_coin_is_the_range_two_draw",
+            "tests/test_ranks.py::TestKeyedHashing::test_frozen_stream",
+        ),
     ),
 ]
 assert all(m.tests for m in MUTANTS), "every mutant names the tests that must fail"
