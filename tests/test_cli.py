@@ -172,14 +172,14 @@ class TestExitCodes:
             ("lower-bound", "--path-len", ["graph"]),
             ("coloring", "--m", ["hypergraph"]),
             ("coloring", "--n", ["hypergraph"]),
-            ("coloring", "--k", ["hypergraph"]),
             ("ksat", "--m", ["cnf"]),
             ("ksat", "--n", ["cnf"]),
-            ("ksat", "--k", ["cnf"]),
             ("balls-bins", "--n", ["balls-bins"]),
             ("balls-bins", "--m", ["balls-bins"]),
             ("oracle-compare", "--n", ["graph", "balls-bins"]),  # vertices or balls
             ("oracle-compare", "--m", ["balls-bins"]),
+            ("coloring", "--k", ["hypergraph"]),
+            ("ksat", "--k", ["cnf"]),
         ],
     )
     def test_size_flag_above_its_item_limit_is_a_usage_error(self, runner, command, flag, kinds):
