@@ -97,9 +97,11 @@ def compute_thresholds(k: int, d: int, lenient: bool = False) -> PhaseThresholds
     k3 = k2 - delta
     k4 = k3 - delta
     problem = None
+    # 2^(k4-1) is built only while k4 - 1 < bit_length(d+1) + 2: from there on
+    # 2^(k4-1) > 4(d+1) > e(d+1) holds, and the exact power costs O(k) memory
     if k4 < 1:
         problem = f"k4 = k - 3*{delta} = {k4} < 1"
-    elif 2 ** (k4 - 1) < math.e * (d + 1):
+    elif k4 - 1 < (d + 1).bit_length() + 2 and 2 ** (k4 - 1) < math.e * (d + 1):
         problem = f"2^(k4-1) = {2 ** (k4 - 1)} < e*(d+1) = {math.e * (d + 1):.3f}"
     if problem is not None:
         if not lenient:

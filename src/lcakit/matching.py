@@ -8,18 +8,20 @@ reproduces the global verdict exactly and reports what the walk cost.  The
 batch (:func:`full_matching`) decides every edge once instead: an edge is
 matched iff none of its lower-ranked neighbors is, so it checks them in
 ascending rank, stops at the first matched one, and keeps every verdict in
-one memo shared by the whole batch.  It keys all edges in one bulk call and
-finds an edge's lower-ranked neighbors as prefixes of sorted per-vertex key
-lists.  Edge ranks derive from the packed edge id ``min * n + max`` over a
-universe of n*n ids, so they are independent of the endpoint ranks and of
-how the edge was reached.  Both paths run over those packed ids, the same
-integers the ranks hash; edge tuples appear only at the public boundary.
+one memo shared by the whole batch.  It keys all edges in one bulk call,
+sorts them once into rank positions, and keeps at each vertex a frontier
+pointer to its lowest edge not yet known to be unmatched: the lower of an
+edge's two frontiers is the next neighbor its check needs.  Edge ranks
+derive from the packed edge id ``min * n + max`` over a universe of n*n
+ids, so they are independent of the endpoint ranks and of how the edge was
+reached.  The query walks those packed ids, the batch their rank positions.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Iterable
 
 from .exploration import TruncationError, _closure
@@ -121,13 +123,15 @@ def full_matching(
     """The greedy matching, with every edge decided once.
 
     Every edge is keyed once, in one :func:`~lcakit.ranks.rank_keys` call,
-    and each vertex keeps its edges' keys sorted, so an edge's lower-ranked
-    neighbors are the two prefixes below its key at its endpoints.  Edges
-    are queried in ``g.edges()`` order against one verdict memo.  An edge
-    is matched iff none of its lower-ranked neighbors is matched; they are
-    checked in ascending rank, and the check stops at the first matched
-    one.  A neighbor the memo has not decided yet is decided first, on an
-    explicit stack, so depth never meets Python's recursion limit.
+    and the keys are sorted once into rank positions.  Each vertex lists
+    its edges' positions in ascending order, with a frontier pointer to its
+    lowest edge not yet known to be unmatched; pointers only move forward.
+    An edge is matched iff none of its lower-ranked neighbors is, so the
+    lower of its endpoints' two frontiers decides it: the edge itself if
+    every lower neighbor is unmatched, else the lowest one that is matched
+    or undecided.  Edges are queried in ``g.edges()`` order against one
+    verdict memo; an undecided neighbor is decided first, on an explicit
+    stack, so depth never meets Python's recursion limit.
 
     Cap rule: a query whose decision needs more than ``cap`` edges that the
     memo has not decided yet, itself included, aborts the call with
@@ -138,56 +142,52 @@ def full_matching(
     if cap < 1:
         raise ValueError("cap must be >= 1")
     n = g.n
-    nn = n * n
     higher = [nbrs[bisect_right(nbrs, u) :] for u, nbrs in enumerate(g.adjacency)]
-    ids = [u * n + v for u, vs in enumerate(higher) for v in vs]  # g.edges() order
-    roots = rank_keys(seed, kind, ids, nn)
-    at: list[list[int]] = [[] for _ in range(n)]  # keys of u's edges, ascending
-    i = 0
-    for u, vs in enumerate(higher):
-        mine = roots[i : i + len(vs)]
-        i += len(vs)
-        at[u] += mine
-        for v, k in zip(vs, mine):
-            at[v].append(k)
-    for ks in at:
-        ks.sort()
-    matched: dict[int, bool] = {}  # key -> verdict
-    get = matched.get
-
-    def lower(k: int) -> list[int]:
-        """Keys of k's lower-ranked neighbors, highest first, so pop() is lowest:
-        the keys below k at its two endpoints."""
-        a, b = at[k % nn // n], at[k % n]
-        lows = a[: bisect_left(a, k)]
-        lows += b[: bisect_left(b, k)]
-        lows.sort(reverse=True)
-        return lows
-
-    for root in roots:
-        if root in matched:
+    edges = [(u, v) for u, vs in enumerate(higher) for v in vs]  # g.edges() order
+    keys = rank_keys(seed, kind, [u * n + v for u, v in edges], n * n)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ends = [edges[i] for i in order]  # position p holds the edge of rank p
+    at: list[list[int]] = [[] for _ in range(n)]  # positions of u's edges, ascending
+    for p, (u, v) in enumerate(ends):
+        at[u].append(p)
+        at[v].append(p)
+    first = [0] * n  # at[u][first[u]]: u's lowest edge not known unmatched
+    verdict: list[bool | None] = [None] * len(ends)  # by position
+    roots = [0] * len(ends)
+    for p, i in enumerate(order):
+        roots[i] = p
+    for root in roots:  # g.edges() order
+        if verdict[root] is not None:
             continue
-        stack = [(root, lower(root))]
+        stack = [root]
         fresh = 1  # undecided edges this query has needed, itself included
         while stack:
-            k, lows = stack[-1]
-            while lows and get(lows[-1]) is False:
-                lows.pop()
-            if lows and lows[-1] not in matched:
-                if fresh == cap:
-                    raise TruncationError(
-                        f"full matching aborted at edge {divmod(root % nn, n)}: "
-                        f"deciding it needs more than {cap} undecided edges",
-                        probes=2 * fresh,  # two neighbor lists per scanned edge
-                        size=fresh,
-                    )
+            k = stack[-1]
+            u, v = ends[k]
+            a, i = at[u], first[u]
+            while verdict[a[i]] is False:
+                i += 1
+            first[u] = i
+            b, j = at[v], first[v]
+            while verdict[b[j]] is False:
+                j += 1
+            first[v] = j
+            # k is undecided, so neither frontier has passed it: low <= k
+            low = a[i] if a[i] < b[j] else b[j]
+            if low == k or verdict[low]:  # low is k itself, or a matched neighbor
+                verdict[k] = low == k
+                stack.pop()
+            elif fresh == cap:
+                raise TruncationError(
+                    f"full matching aborted at edge {ends[root]}: "
+                    f"deciding it needs more than {cap} undecided edges",
+                    probes=2 * fresh,  # two neighbor lists per scanned edge
+                    size=fresh,
+                )
+            else:
                 fresh += 1
-                stack.append((lows[-1], lower(lows[-1])))
-                continue
-            # lows is empty (no lower neighbor matched) or ends at a matched one
-            matched[k] = not lows
-            stack.pop()
-    return frozenset(divmod(k % nn, n) for k, m in matched.items() if m)
+                stack.append(low)
+    return frozenset(compress(ends, verdict))
 
 
 def greedy_by_rank(

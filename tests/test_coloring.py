@@ -1,4 +1,6 @@
 import hashlib
+import math
+import time
 import warnings
 from collections import Counter
 
@@ -75,6 +77,29 @@ class TestComputeThresholds:
             compute_thresholds(1, 2)
         with pytest.raises(ThresholdError):
             compute_thresholds(10, -1)
+
+    def test_admissibility_agrees_with_the_exact_power(self):
+        for d in range(65):
+            factor = 16 * max(d, 1) * max(d - 1, 1) ** 3 * (d + 1)
+            delta = math.ceil(math.log2(factor))
+            for k in range(2, 201):
+                k4 = k - 3 * delta
+                if k4 < 1:
+                    problem = f"k4 = k - 3*{delta} = {k4} < 1"
+                elif 2 ** (k4 - 1) < math.e * (d + 1):
+                    problem = f"2^(k4-1) = {2 ** (k4 - 1)} < e*(d+1) = {math.e * (d + 1):.3f}"
+                else:
+                    assert compute_thresholds(k, d).k4 == k4
+                    continue
+                with pytest.raises(ThresholdError) as exc:
+                    compute_thresholds(k, d)
+                assert str(exc.value) == f"admissibility premise fails for k={k}, d={d}: {problem}"
+
+    def test_huge_k_is_checked_in_constant_time(self):
+        start = time.perf_counter()
+        got = compute_thresholds(10**9, 2)
+        assert time.perf_counter() - start < 0.1
+        assert got == PhaseThresholds(10**9, 10**9 - 7, 10**9 - 14, 10**9 - 21, 7)
 
 
 def phase1_reference(view_kind, inst, state):

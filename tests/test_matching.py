@@ -1,4 +1,5 @@
 import hashlib
+from bisect import bisect_left, bisect_right
 import itertools
 import pickle
 
@@ -24,6 +25,7 @@ from lcakit.ranks import (
     derive_subseed,
     next_prime,
     rank_key_fn,
+    rank_keys,
 )
 
 SEED = Seed.from_hex("5eed" * 16)
@@ -44,6 +46,65 @@ def greedy_oracle(edges_by_rank):
             used.update((u, v))
             matched.add((u, v))
     return matched
+
+
+def full_matching_by_lower_lists(g, seed, kind=FullPseudorandom(), cap=1 << 20):
+    """Slow reference for full_matching: each edge builds the sorted list of
+    its lower-ranked neighbors' keys from the two prefixes below its key at
+    its endpoints, and pops the known-unmatched ones off its low end."""
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    n = g.n
+    nn = n * n
+    higher = [nbrs[bisect_right(nbrs, u) :] for u, nbrs in enumerate(g.adjacency)]
+    ids = [u * n + v for u, vs in enumerate(higher) for v in vs]  # g.edges() order
+    roots = rank_keys(seed, kind, ids, nn)
+    at: list[list[int]] = [[] for _ in range(n)]  # keys of u's edges, ascending
+    i = 0
+    for u, vs in enumerate(higher):
+        mine = roots[i : i + len(vs)]
+        i += len(vs)
+        at[u] += mine
+        for v, k in zip(vs, mine):
+            at[v].append(k)
+    for ks in at:
+        ks.sort()
+    matched: dict[int, bool] = {}  # key -> verdict
+    get = matched.get
+
+    def lower(k: int) -> list[int]:
+        """Keys of k's lower-ranked neighbors, highest first, so pop() is lowest:
+        the keys below k at its two endpoints."""
+        a, b = at[k % nn // n], at[k % n]
+        lows = a[: bisect_left(a, k)]
+        lows += b[: bisect_left(b, k)]
+        lows.sort(reverse=True)
+        return lows
+
+    for root in roots:
+        if root in matched:
+            continue
+        stack = [(root, lower(root))]
+        fresh = 1  # undecided edges this query has needed, itself included
+        while stack:
+            k, lows = stack[-1]
+            while lows and get(lows[-1]) is False:
+                lows.pop()
+            if lows and lows[-1] not in matched:
+                if fresh == cap:
+                    raise TruncationError(
+                        f"full matching aborted at edge {divmod(root % nn, n)}: "
+                        f"deciding it needs more than {cap} undecided edges",
+                        probes=2 * fresh,  # two neighbor lists per scanned edge
+                        size=fresh,
+                    )
+                fresh += 1
+                stack.append((lows[-1], lower(lows[-1])))
+                continue
+            # lows is empty (no lower neighbor matched) or ends at a matched one
+            matched[k] = not lows
+            stack.pop()
+    return frozenset(divmod(k % nn, n) for k, m in matched.items() if m)
 
 
 class TestIsMatched:
@@ -211,6 +272,21 @@ class TestFullMatching:
             if verdicts is not None:
                 assert batch == {e for e, v in verdicts.items() if v.matched}
             assert batch == greedy_by_rank(g, s, kind)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 40), st.integers(1, 5), st.integers(1, 50))
+    def test_same_answers_and_cuts_as_the_lower_list_reference(self, tag, n, d, cap):
+        g = gen_bounded_degree(derive_subseed(SEED, b"diff:%d" % tag), n, d)
+        s = derive_subseed(SEED, b"diffr:%d" % tag)
+        # a prime just above the n*n packed ids makes rank values tie
+        for kind in (FullPseudorandom(), KWiseIndependent(8, next_prime(n * n + 1))):
+            outcomes = []
+            for batch in (full_matching, full_matching_by_lower_lists):
+                try:
+                    outcomes.append(batch(g, s, kind, cap))
+                except TruncationError as exc:
+                    outcomes.append((str(exc), exc.size, exc.probes))
+            assert outcomes[0] == outcomes[1]
 
 
 class TestVerifyMaximal:

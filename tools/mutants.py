@@ -107,8 +107,8 @@ MUTANTS = [
     Mutant(
         "full-matching-cap-one-late",
         MATCHING,
-        "                if fresh == cap:\n",
-        "                if fresh > cap:\n",
+        "            elif fresh == cap:\n",
+        "            elif fresh > cap:\n",
         (
             "tests/test_matching.py::test_pinned_full_matching",
             "tests/test_matching.py::TestFullMatching::test_cap_counts_the_query_and_each_undecided_edge_it_needs",
@@ -172,9 +172,12 @@ MUTANTS = [
     Mutant(
         "full-matching-highest-first",
         MATCHING,
-        "        lows.sort(reverse=True)",
-        "        lows.sort()",
-        ("tests/test_matching.py::test_pinned_full_matching",),
+        "    for p, (u, v) in enumerate(ends):\n",
+        "    for p, (u, v) in reversed(list(enumerate(ends))):\n",
+        (
+            "tests/test_matching.py::test_pinned_full_matching",
+            "tests/test_matching.py::TestOracleEquivalence::test_full_matching_equals_global_greedy",
+        ),
     ),
     Mutant(
         "matching-adjacency-one-endpoint",
@@ -382,17 +385,42 @@ MUTANTS = [
     Mutant(
         "full-matching-lower-at-one-endpoint",
         MATCHING,
-        "        lows += b[: bisect_left(b, k)]\n",
-        "",
-        ("tests/test_matching.py::test_pinned_full_matching",),
+        "            low = a[i] if a[i] < b[j] else b[j]\n",
+        "            low = a[i]\n",
+        (
+            "tests/test_matching.py::test_pinned_full_matching",
+            "tests/test_matching.py::TestFullMatching::test_same_answers_and_cuts_as_the_lower_list_reference",
+        ),
     ),
     Mutant(
         "full-matching-edge-at-one-endpoint",
         MATCHING,
-        "            at[v].append(k)\n",
-        "            pass\n",
+        "        at[v].append(p)\n",
+        "        pass\n",
         (
             "tests/test_matching.py::test_pinned_full_matching",
+            "tests/test_matching.py::TestOracleEquivalence::test_full_matching_equals_global_greedy",
+        ),
+    ),
+    Mutant(
+        "frontier-skips-matched",
+        MATCHING,
+        "            while verdict[b[j]] is False:\n",
+        "            while verdict[b[j]] is not None:\n",
+        (
+            "tests/test_matching.py::test_pinned_full_matching",
+            "tests/test_matching.py::TestFullMatching::test_same_answers_and_cuts_as_the_lower_list_reference",
+            "tests/test_matching.py::TestOracleEquivalence::test_full_matching_equals_global_greedy",
+        ),
+    ),
+    Mutant(
+        "frontier-takes-higher",
+        MATCHING,
+        "a[i] if a[i] < b[j] else b[j]",
+        "a[i] if a[i] > b[j] else b[j]",
+        (
+            "tests/test_matching.py::test_pinned_full_matching",
+            "tests/test_matching.py::TestFullMatching::test_same_answers_and_cuts_as_the_lower_list_reference",
             "tests/test_matching.py::TestOracleEquivalence::test_full_matching_equals_global_greedy",
         ),
     ),
