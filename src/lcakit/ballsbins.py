@@ -22,7 +22,7 @@ balls over the cap are answered by :func:`assign_query`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .exploration import _closure, ilog2ceil
 from .graphs import BipartiteChoices
@@ -46,8 +46,9 @@ def default_cap(m_bins: int, constant: int = DEFAULT_CAP_CONSTANT) -> int:
     return max(1, constant) * ilog2ceil(max(2, m_bins))
 
 
-@dataclass(frozen=True, slots=True)
-class Assignment:
+class Assignment(NamedTuple):
+    # a NamedTuple: a batch builds one per ball, and a tuple costs about a
+    # third of what a frozen dataclass's four __setattr__ calls cost
     ball: int
     bin: int
     failed: bool
@@ -60,11 +61,15 @@ class LoadProfile:
     max_load: int
 
     @classmethod
+    def from_loads(cls, loads: Sequence[int]):
+        return cls(tuple(loads), max(loads, default=0))
+
+    @classmethod
     def from_assignments(cls, m_bins: int, assignments: Sequence[Assignment]):
         loads = [0] * m_bins
         for a in assignments:
             loads[a.bin] += 1
-        return cls(tuple(loads), max(loads, default=0))
+        return cls.from_loads(loads)
 
 
 class DecisionRule:
@@ -183,15 +188,15 @@ def run_global(
     rule.validate(bc)
     key_of = rank_key_fn(seed, kind, max(bc.n_balls, 1))
     order = sorted(range(bc.n_balls), key=key_of)
+    choose = rule.choose
     loads = [0] * bc.m_bins
-    out: list[Assignment | None] = [None] * bc.n_balls
     load_of = loads.__getitem__
+    out: list = [None] * bc.n_balls  # every slot is filled below
     for b in order:
-        u = rule.choose(bc, b, load_of)
+        u = choose(bc, b, load_of)
         loads[u] += 1
-        out[b] = Assignment(b, u, failed=False, probes=bc.d)
-    assignments = [a for a in out if a is not None]
-    return assignments, LoadProfile.from_assignments(bc.m_bins, assignments)
+        out[b] = Assignment(b, u, False, bc.d)
+    return out, LoadProfile.from_loads(loads)
 
 
 def _fallback_bin(bc: BipartiteChoices, ball: int, seed: Seed) -> int:
@@ -262,42 +267,50 @@ def assign_all(
       closure has more than ``cap`` members.  Its complete walk makes one
       ``choices_of`` and d ``choosers_of`` lookups per member, so a closure
       within the cap costs the cold walk (1 + d) * size probes.
-    * Over cap: such closures are not kept, and a ball that chose a bin
-      whose memo is over cap is over cap too.  Each over-cap ball is
-      answered by :func:`assign_query` itself, so its fallback bin and
-      truncated-walk probes are the cold query's.  Their walks read the
-      batch's keys, so no ball is hashed twice.
+    * Over cap: such closures are not kept.  The memo holds one shared
+      marker instead, more than ``cap`` ids that are no ball's, so a ball
+      that chose a bin whose memo is the marker is over cap too.  Each
+      over-cap ball is answered by :func:`assign_query` itself, so its
+      fallback bin and truncated-walk probes are the cold query's.  Their
+      walks read the batch's keys, so no ball is hashed twice.
+    * Profile: the pass's loads, with one unit moved for each over-cap
+      ball from the bin it was placed in to the bin it was answered with.
     """
     rule.validate(bc)
     if cap is None:
         cap = default_cap(bc.m_bins)
-    key_of = rank_keys(seed, kind, range(bc.n_balls), max(bc.n_balls, 1)).__getitem__
+    n = bc.n_balls
+    key_of = rank_keys(seed, kind, range(n), max(n, 1)).__getitem__
+    choose = rule.choose
+    choices = bc.choices  # ids come from range(n): no range check needed
     per_member = 1 + bc.d  # probes per closure member
     loads = [0] * bc.m_bins
     load_of = loads.__getitem__
-    # latest[u]: closure of the latest-ranked ball so far that chose bin u,
-    # or None once that closure is over cap
-    latest: list[tuple[int, ...] | None] = [()] * bc.m_bins
-    out: list[Assignment | None] = [None] * bc.n_balls
-    for b in sorted(range(bc.n_balls), key=key_of):
-        u = rule.choose(bc, b, load_of)
+    # the over-cap marker: cap + 1 ids below 0, so no ball's, and any union
+    # with it is over the cap by itself.  No closure has more than n
+    # members, so a cap of n or more never needs it, and n + 1 ids do.
+    over = tuple(range(-1 - min(cap, n), 0))
+    # latest[u]: closure of the latest-ranked ball so far that chose bin u
+    latest: list[tuple[int, ...]] = [()] * bc.m_bins
+    moved = []  # (placed bin, answered bin) of each over-cap ball
+    out: list = [None] * n  # every slot is filled below
+    for b in sorted(range(n), key=key_of):
+        u = choose(bc, b, load_of)
         loads[u] += 1
-        choices = bc.choices_of(b)
-        closure = None
+        mine = choices[b]
         members = {b}
-        for v in choices:
-            part = latest[v]
-            if part is None:  # an over-cap co-chooser puts b over cap
-                break
-            members.update(part)
+        for v in mine:
+            members.update(latest[v])
+        if len(members) > cap:
+            closure = over
+            a = out[b] = assign_query(bc, b, rule, seed, kind, cap, _key_of=key_of)
+            moved.append((u, a.bin))
         else:
-            if len(members) <= cap:
-                closure = tuple(members)
-        if closure is None:
-            out[b] = assign_query(bc, b, rule, seed, kind, cap, _key_of=key_of)
-        else:
-            out[b] = Assignment(b, u, failed=False, probes=per_member * len(closure))
-        for v in choices:
+            closure = tuple(members)
+            out[b] = Assignment(b, u, False, per_member * len(closure))
+        for v in mine:
             latest[v] = closure
-    assignments = [a for a in out if a is not None]
-    return assignments, LoadProfile.from_assignments(bc.m_bins, assignments)
+    for u, v in moved:
+        loads[u] -= 1
+        loads[v] += 1
+    return out, LoadProfile.from_loads(loads)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcakit import cli
 from lcakit.ballsbins import (
     RULES,
     Assignment,
@@ -225,7 +226,7 @@ class TestAssignAll:
         st.integers(1, 30),
         st.integers(3, 60),
         st.integers(1, 3),
-        st.none() | st.integers(0, 20),
+        st.none() | st.integers(-2, 20),
     )
     def test_equals_per_ball_queries(self, tag, name, half_n, m, d, cap):
         rule = RULES[name]
@@ -246,6 +247,42 @@ class TestAssignAll:
             cold = [assign_query(bc, b, rule, s, kind, cap) for b in range(n)]
             assert batch == cold
             assert profile == LoadProfile.from_assignments(m, cold)
+
+    def test_profile_counts_the_answered_bins(self):
+        # small caps send many balls to their fallback bins, which the
+        # profile must count in place of the bins the pass placed them in
+        for name in sorted(PINNED):
+            for bc, rseed in _pin_instances(name):
+                for cap in (None, 0, 1, 2, 3):
+                    batch, profile = assign_all(bc, RULES[name], rseed, cap=cap)
+                    assert profile == LoadProfile.from_assignments(bc.m_bins, batch)
+
+    def test_cap_far_above_n_is_cheap(self):
+        # the over-cap marker is sized by min(cap, n), never by cap alone
+        bc = gen_bipartite_choices(SEED, 60, 30, 2, "uniform")
+        batch, profile = assign_all(bc, LL, SEED, cap=10**18)
+        assert batch == [assign_query(bc, b, LL, SEED, cap=10**18) for b in range(60)]
+        glob, global_profile = run_global(bc, LL, SEED)
+        assert [a.bin for a in batch] == [a.bin for a in glob]
+        assert not any(a.failed for a in batch) and profile == global_profile
+
+    def test_assignment_is_what_reports_read(self):
+        a = Assignment(ball=1, bin=2, failed=True, probes=3)
+        assert a == Assignment(1, 2, True, 3)
+        assert Assignment._fields == ("ball", "bin", "failed", "probes")
+        assert (a.ball, a.bin, a.failed, a.probes) == (1, 2, True, 3)
+        # cli._ballsbins_worker writes each row in field order, and
+        # criterion 2 reads .bin and .failed
+        s = derive_subseed(SEED, b"contract")
+        bc = gen_bipartite_choices(derive_subseed(s, b"instance:0"), 200, 100, 2, "uniform")
+        rseed = derive_subseed(s, b"ranks:0")
+        batch, _ = assign_all(bc, LL, rseed, cap=3)
+        rows = cli._ballsbins_worker(200, 100, 2, LL.name, None, 3, s, 0)["rows"]
+        assert rows == [tuple(a) for a in batch]
+        assert 0 < sum(a.failed for a in batch) < len(batch)
+        for a in batch:
+            cold = assign_query(bc, a.ball, LL, rseed, cap=3)
+            assert a == cold and hash(a) == hash(cold)
 
     def test_query_order_oblivious(self):
         bc = gen_bipartite_choices(SEED, 100, 50, 2, "uniform")

@@ -352,6 +352,25 @@ MUTANTS = [
             "tests/test_ballsbins.py::test_pinned_cold_queries[least-loaded]",
         ),
     ),
+    # A marker of cap ids (one short) is equivalent: the ball itself makes
+    # every union with it cap + 1.  Two short lets a union fit the cap.
+    Mutant(
+        "over-cap-marker-two-short",
+        BALLSBINS,
+        "    over = tuple(range(-1 - min(cap, n), 0))",
+        "    over = tuple(range(1 - min(cap, n), 0))",
+        (
+            "tests/test_ballsbins.py::test_pinned_assignments[least-loaded]",
+            "tests/test_ballsbins.py::TestAssignAll::test_assignment_is_what_reports_read",
+        ),
+    ),
+    Mutant(
+        "profile-skips-fallback-move",
+        BALLSBINS,
+        "    for u, v in moved:\n        loads[u] -= 1\n        loads[v] += 1\n",
+        "",
+        ("tests/test_ballsbins.py::TestAssignAll::test_profile_counts_the_answered_bins",),
+    ),
     Mutant(
         "rank-value-little-endian",
         RANKS,
