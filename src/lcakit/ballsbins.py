@@ -15,13 +15,18 @@ even failures are deterministic and query-order oblivious.
 The batch, :func:`assign_all`, walks no closures.  It keys every ball in
 one bulk call and sorts the ball ids by those keys.  One pass in that order
 places every ball and tells each ball's closure size from a memo of one
-closure per bin, which gives the cold walk's ``failed`` flag and probes;
-balls over the cap are answered by :func:`assign_query`.
+closure per bin, which gives the cold walk's ``failed`` flag and probes.
+A ball builds a set only where its bins hold two distinct lower closures;
+otherwise its closure is itself, or itself before the one closure its bins
+hold.  The pass records bins and sizes in flat lists, and every answer is
+built after it in one sweep; balls over the cap are then answered by
+:func:`assign_query`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
 from .exploration import _closure, ilog2ceil
@@ -262,19 +267,28 @@ def assign_all(
     * Closures: a ball's closure is itself plus the closures of its
       lower-ranked co-choosers.  Every earlier chooser of a bin lies in the
       closure of the latest one, so a memo of one closure per bin (its
-      latest chooser's) gives each closure by d unions.
+      latest chooser's) gives each closure from the d bins' memos.  With
+      no lower closure it is ``(b,)``; with one distinct closure ``c``
+      (both choices on one bin, or one latest chooser of both bins) it is
+      ``(b,) + c``, of size ``1 + len(c)`` since ``b`` is new to the pass.
+      Only a ball whose bins hold two or more distinct closures builds a
+      set, their union with ``b``.
     * ``failed`` and ``probes``: ``_closure`` truncates exactly when the
       closure has more than ``cap`` members.  Its complete walk makes one
       ``choices_of`` and d ``choosers_of`` lookups per member, so a closure
       within the cap costs the cold walk (1 + d) * size probes.
+    * Answers: the pass records each ball's bin and closure size in flat
+      lists, and every answer is built from them in one sweep after it.
     * Over cap: such closures are not kept.  The memo holds one shared
       marker instead, more than ``cap`` ids that are no ball's, so a ball
-      that chose a bin whose memo is the marker is over cap too.  Each
-      over-cap ball is answered by :func:`assign_query` itself, so its
-      fallback bin and truncated-walk probes are the cold query's.  Their
-      walks read the batch's keys, so no ball is hashed twice.
+      that chose a bin whose memo is the marker is over cap too.  After
+      the sweep, each over-cap ball, in rank order, is answered by
+      :func:`assign_query` itself, so its fallback bin and truncated-walk
+      probes are the cold query's.  Their walks read the batch's keys, so
+      no ball is hashed twice.
     * Profile: the pass's loads, with one unit moved for each over-cap
-      ball from the bin it was placed in to the bin it was answered with.
+      ball from the bin the pass placed it in to the bin it was answered
+      with, as its answer replaces the swept one.
     """
     rule.validate(bc)
     if cap is None:
@@ -292,25 +306,42 @@ def assign_all(
     over = tuple(range(-1 - min(cap, n), 0))
     # latest[u]: closure of the latest-ranked ball so far that chose bin u
     latest: list[tuple[int, ...]] = [()] * bc.m_bins
-    moved = []  # (placed bin, answered bin) of each over-cap ball
-    out: list = [None] * n  # every slot is filled below
+    placed = [0] * n  # each ball's bin in the pass
+    sizes = [0] * n  # each ball's closure size
+    over_cap = []  # balls whose closure exceeds cap, in rank order
     for b in sorted(range(n), key=key_of):
-        u = choose(bc, b, load_of)
+        u = placed[b] = choose(bc, b, load_of)
         loads[u] += 1
         mine = choices[b]
-        members = {b}
+        c = members = None
         for v in mine:
-            members.update(latest[v])
-        if len(members) > cap:
-            closure = over
-            a = out[b] = assign_query(bc, b, rule, seed, kind, cap, _key_of=key_of)
-            moved.append((u, a.bin))
-        else:
+            w = latest[v]
+            if not w or w is c:
+                continue
+            if c is None:
+                c = w
+            elif members is None:
+                members = {b, *c, *w}
+            else:
+                members.update(w)
+        if members is not None:
             closure = tuple(members)
-            out[b] = Assignment(b, u, False, per_member * len(closure))
+        elif c is None:
+            closure = (b,)
+        else:
+            closure = (b,) + c  # b is new to the pass: no duplicate
+        size = sizes[b] = len(closure)
+        if size > cap:
+            closure = over
+            over_cap.append(b)
         for v in mine:
             latest[v] = closure
-    for u, v in moved:
-        loads[u] -= 1
-        loads[v] += 1
+    probes = map(per_member.__mul__, sizes)
+    # tuple.__new__ skips Assignment(...)'s argument binding and _make's length check
+    rows = zip(range(n), placed, repeat(False), probes)
+    out = list(map(tuple.__new__, repeat(Assignment), rows))
+    for b in over_cap:
+        a = out[b] = assign_query(bc, b, rule, seed, kind, cap, _key_of=key_of)
+        loads[placed[b]] -= 1
+        loads[a.bin] += 1
     return out, LoadProfile.from_loads(loads)

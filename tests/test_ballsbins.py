@@ -257,6 +257,73 @@ class TestAssignAll:
                     batch, profile = assign_all(bc, RULES[name], rseed, cap=cap)
                     assert profile == LoadProfile.from_assignments(bc.m_bins, batch)
 
+    def test_every_answer_is_an_assignment(self):
+        # batch == cold compares plain tuples, where 0 == False, so only this
+        # sees an answer built as a bare tuple or with an int flag
+        for name in sorted(PINNED):
+            for bc, rseed in _pin_instances(name):
+                for cap in (None, 0, 1, 3):
+                    batch, _ = assign_all(bc, RULES[name], rseed, cap=cap)
+                    assert all(type(a) is Assignment for a in batch)
+                    assert all(type(a.failed) is bool for a in batch)
+
+    @pytest.mark.parametrize(
+        "m, cap, choices, probes, failed",
+        [
+            pytest.param(
+                7,
+                None,
+                [(0, 1), (2, 2), (2, 2), (0, 1), (1, 3), (5, 6), (2, 6)],
+                # 0: no lower closure; 1: both choices on one empty bin;
+                # 2: both choices on one bin, {2, 1}; 3: ball 0 is the latest
+                # chooser of both bins, {3, 0}; 4: bin 3 is empty, {4, 3, 0};
+                # 5: no lower closure; 6: two disjoint closures, {6, 2, 1, 5}
+                [3, 3, 6, 6, 9, 3, 12],
+                [False] * 7,
+                id="none-one-and-disjoint",
+            ),
+            pytest.param(
+                3,
+                None,
+                [(0, 1), (1, 2), (0, 2)],
+                # 2: bins 0 and 2 hold {0} and {1, 0}, so its closure is {0, 1, 2}
+                [3, 6, 9],
+                [False] * 3,
+                id="nested",
+            ),
+            pytest.param(
+                4,
+                None,
+                [(0, 1), (0, 2), (1, 3), (2, 3)],
+                # 3: bins 2 and 3 hold {1, 0} and {2, 0}, so {3, 1, 0, 2}
+                [3, 6, 6, 12],
+                [False] * 4,
+                id="partial-overlap",
+            ),
+            pytest.param(
+                5,
+                2,
+                [(0, 1), (1, 2), (2, 3), (3, 4)],
+                # 2: {2, 1, 0} is over the cap, so bins 2 and 3 hold the
+                # marker; 3 reads it from bin 3.  Both walks are cut in their
+                # second scan, when a third member would join.
+                [3, 6, 6, 6],
+                [False, False, True, True],
+                id="over-cap-marker",
+            ),
+        ],
+    )
+    def test_memo_cases(self, m, cap, choices, probes, failed):
+        # every rank value ties, so the balls arrive in id order
+        n = len(choices)
+        bc = BipartiteChoices.from_choices(n, m, 2, choices)
+        kind = KWiseIndependent(1, next_prime(n + 1))
+        batch, profile = assign_all(bc, LL, SEED, kind, cap)
+        assert [a.probes for a in batch] == probes
+        assert [a.failed for a in batch] == failed
+        assert batch == [assign_query(bc, b, LL, SEED, kind, cap) for b in range(n)]
+        assert profile == LoadProfile.from_assignments(m, batch)
+
     def test_cap_far_above_n_is_cheap(self):
         # the over-cap marker is sized by min(cap, n), never by cap alone
         bc = gen_bipartite_choices(SEED, 60, 30, 2, "uniform")

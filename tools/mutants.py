@@ -367,9 +367,22 @@ MUTANTS = [
     Mutant(
         "profile-skips-fallback-move",
         BALLSBINS,
-        "    for u, v in moved:\n        loads[u] -= 1\n        loads[v] += 1\n",
+        "        loads[placed[b]] -= 1\n        loads[a.bin] += 1\n",
         "",
         ("tests/test_ballsbins.py::TestAssignAll::test_profile_counts_the_answered_bins",),
+    ),
+    # Dropping the ``w is c`` skip is equivalent: a second copy of the one
+    # closure goes into a set with it, which removes the duplicates.
+    Mutant(
+        "closure-union-without-dedupe",
+        BALLSBINS,
+        "members = {b, *c, *w}",
+        "members = (b, *c, *w)",
+        (
+            "tests/test_ballsbins.py::test_pinned_assignments[least-loaded]",
+            "tests/test_ballsbins.py::TestAssignAll::test_memo_cases[nested]",
+            "tests/test_ballsbins.py::TestAssignAll::test_memo_cases[partial-overlap]",
+        ),
     ),
     Mutant(
         "rank-value-little-endian",
