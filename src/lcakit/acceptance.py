@@ -177,6 +177,9 @@ def _greedy_rule(v, x, deps):
     return not any(o for _, o in deps)
 
 
+_greedy_rule.stop = bool  # one matched lower neighbor decides; global replay checks it
+
+
 @_criterion(3, "micro-scale brute-force equivalence (chain + greedy rules)")
 def criterion_3() -> tuple[bool, dict]:
     """Local equals global on every vertex: 512 micro-instances x 100 seeds."""

@@ -1,27 +1,31 @@
 """Generic online-to-local evaluation engine.
 
 A rule is any pure callable ``rule(vertex, x, deps) -> output`` where ``x``
-is the vertex's static input and ``deps`` is a read-only sequence of
-``(neighbor, output)`` pairs for the lower-ranked neighbors, ascending by
-rank.  Purity is what makes answers independent of query order.  A rule
-must let any exception raised while it reads ``deps`` propagate.
+is the vertex's static input and ``deps`` is a list of ``(neighbor, output)``
+pairs for the lower-ranked neighbors, ascending by rank.  Purity is what
+makes answers independent of query order.  A rule may declare ``stop``, a
+predicate on one output: ``deps`` then ends at the first output for which it
+is true, so the rule must give the same answer on that prefix as on the full
+list (greedy stops at a matched neighbor: ``stop = bool``).
 
-``eval_local`` decides a vertex on demand: a dependency the rule reads
-undecided is decided first, then the rule runs again, so a query decides
-only what its rules read.  ``eval_global`` is the oracle that runs the whole
-arrival sequence.  Whenever the local run does not truncate, they agree.
+``eval_local`` decides a vertex on demand: it walks the lower neighbors in
+ascending rank, decides an undecided one first, and calls the rule once all
+of ``deps`` is decided.  A query decides a rule's lower neighbors up to its
+stop, and all of them (the whole closure) for a rule without ``stop``.
+``eval_global`` is the oracle that runs the whole arrival sequence and passes
+every dependency.  Whenever the local run does not truncate, they agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping
 
 from .exploration import TruncationError, _decide
 from .graphs import LocalGraph
 from .ranks import FullPseudorandom, OrderingKind, Seed, rank_key_fn
 
-Rule = Callable[[int, Any, Sequence[tuple[int, Any]]], Any]
+Rule = Callable[[int, Any, list[tuple[int, Any]]], Any]  # optional attribute: stop
 
 
 @dataclass
@@ -33,39 +37,6 @@ class EvalTrace:
     outputs: dict[int, Any]
     evaluation_order: list[int]
     probes: int
-
-
-class _Undecided(Exception):
-    """A rule read the output of a vertex that is not decided yet."""
-
-    def __init__(self, v: int):
-        self.v = v
-
-
-class _Deps:
-    """``(neighbor, output)`` pairs; reading an undecided one raises _Undecided."""
-
-    __slots__ = ("_ids", "_outputs")
-
-    def __init__(self, ids: list[int], outputs: dict[int, Any]):
-        self._ids = ids
-        self._outputs = outputs
-
-    def _pair(self, w: int) -> tuple[int, Any]:
-        if w not in self._outputs:
-            raise _Undecided(w)
-        return w, self._outputs[w]
-
-    def __len__(self):
-        return len(self._ids)
-
-    def __iter__(self):
-        return map(self._pair, self._ids)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._pair(w) for w in self._ids[i]]
-        return self._pair(self._ids[i])
 
 
 def _input_fn(inputs) -> Callable[[int], Any]:
@@ -86,7 +57,7 @@ def eval_local(
     inputs=None,
     rank_map: Callable[[int], int] | None = None,
 ) -> tuple[Any, EvalTrace]:
-    """Output of the online rule at v0, deciding only what its rules read.
+    """Output of the online rule at v0, deciding its rules' ``deps`` first.
 
     Raises :class:`TruncationError` (with probe statistics) if that needs
     more than ``cap`` undecided vertices, v0 included; they all lie in v0's
@@ -99,16 +70,22 @@ def eval_local(
     x_of = _input_fn(inputs)
     outputs: dict[int, Any] = {}
     order: list[int] = []
+    stop = getattr(rule, "stop", None)
 
     def step(v: int) -> int | None:
         ids = lower.get(v)
         if ids is None:
             kv = key_of(v)
             ids = lower[v] = sorted((w for w in g.neighbors(v) if key_of(w) < kv), key=key_of)
-        try:
-            outputs[v] = rule(v, x_of(v), _Deps(ids, outputs))
-        except _Undecided as exc:
-            return exc.v
+        deps = []
+        for w in ids:
+            if w not in outputs:
+                return w
+            out = outputs[w]
+            deps.append((w, out))
+            if stop is not None and stop(out):
+                break
+        outputs[v] = rule(v, x_of(v), deps)
         order.append(v)
         return None
 

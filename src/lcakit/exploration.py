@@ -7,7 +7,7 @@ A vertex enters the set once (via its first successful discovery), but every
 set member gets a full neighbor scan, so the set is closed: each member's
 lower-ranked neighbors are all members.  That closure property is what makes
 bottom-up replay exact.  ``_decide`` instead decides a root on demand,
-deciding first only the lower-ranked items its online rule reads.
+deciding first only the lower-ranked items its step asks for.
 
 Every query reports ``probes``, the adjacency-oracle lookups it made.  Every
 closure walk is one ``_closure`` call, so its probes are the lookups one

@@ -1,8 +1,10 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcakit.engine import _Deps, _Undecided, eval_global, eval_local
+from lcakit.engine import eval_global, eval_local
 from lcakit.exploration import TruncationError, explore
 from lcakit.graphs import LocalGraph, gen_binomial, gen_bounded_degree, line_graph
 from lcakit.ranks import (
@@ -26,6 +28,9 @@ def greedy_rule(v, x, deps):
     return not any(o for _, o in deps)
 
 
+greedy_rule.stop = bool  # one matched lower neighbor decides
+
+
 def input_rule(v, x, deps):
     return x
 
@@ -38,13 +43,15 @@ def sequence_rule(v, x, deps):
 
 
 class TestEvalLocal:
-    def test_input_only_rule_touches_one_vertex(self):
+    def test_rule_without_stop_decides_its_closure(self):
         g = gen_bounded_degree(SEED, 10, 3)
         inputs = {v: v % 2 for v in range(10)}
-        rule = lambda v, x, deps: x  # noqa: E731
-        out, trace = eval_local(g, 4, rule, SEED, inputs=inputs)
-        assert out == 0
-        assert trace.evaluation_order == [4]
+        for v in range(g.n):
+            out, trace = eval_local(g, v, input_rule, SEED, inputs=inputs)
+            assert out == v % 2
+            closure = {w for w, _ in explore(g, v, SEED).members}
+            assert sorted(trace.evaluation_order) == sorted(closure)
+            assert trace.evaluation_order[-1] == v
 
     def test_two_vertex_chain_hand_case(self):
         g = LocalGraph.from_edges(2, [(0, 1)])
@@ -132,27 +139,30 @@ class TestEvalLocal:
             fewer += len(trace.evaluation_order) < len(closure)
         assert fewer > 0
 
+    def test_deps_end_at_the_first_stopping_output(self):
+        seen = {}
+
+        def spy(v, x, deps):
+            seen[v] = deps
+            return v % 4 == 0
+
+        spy.stop = bool
+        g = gen_bounded_degree(SEED, 40, 5)
+        eval_global(g, spy, SEED)
+        full, cut = dict(seen), 0
+        for v in range(g.n):
+            seen.clear()
+            eval_local(g, v, spy, SEED)
+            for w, deps in seen.items():
+                outs = [o for _, o in full[w]]
+                end = outs.index(True) + 1 if True in outs else len(outs)
+                assert deps == full[w][:end]
+                cut += end < len(outs)
+        assert cut > 0
+
     def test_cap_below_one_is_rejected(self):
         with pytest.raises(ValueError):
             eval_local(LocalGraph.from_edges(2, [(0, 1)]), 0, chain_rule, SEED, cap=0)
-
-
-class TestDeps:
-    def test_sequence_behaviour(self):
-        deps = _Deps([3, 1, 2], {1: "b", 2: "c", 3: "a"})
-        assert len(deps) == 3 and deps
-        assert list(deps) == [(3, "a"), (1, "b"), (2, "c")]
-        assert deps[0] == (3, "a") and deps[-1] == (2, "c")
-        assert deps[1:] == [(1, "b"), (2, "c")] and deps[::-2] == [(2, "c"), (3, "a")]
-        assert not _Deps([], {}) and list(_Deps([], {})) == []
-
-    def test_reading_an_undecided_entry_names_it(self):
-        deps = _Deps([3, 1], {3: None})
-        assert deps[0] == (3, None)
-        for read in (lambda: deps[1], lambda: deps[-1], lambda: deps[:], lambda: list(deps)):
-            with pytest.raises(_Undecided) as exc:
-                read()
-            assert exc.value.v == 1
 
 
 class TestEvalGlobal:
@@ -207,3 +217,55 @@ class TestRankMap:
         for i in range(lg.n):
             out, _ = eval_local(lg, i, greedy_rule, SEED, rank_map=rank_map)
             assert out == trace.outputs[i]
+
+
+# sha256 of eval_local's EvalTrace on every vertex of small graphs and line
+# graphs (the latter ranked by packed edge id, as matching ranks them), under
+# the full and the k-wise ordering: each vertex's sorted outputs, decision
+# order and probes, then at caps 1, 2, 3 and 5 either the probes of the
+# truncation or the number of vertices decided.
+TRACE_PINNED = {
+    ("chain", "graph-full"): "e87a0869971704723d1385494ec2c754ab2d3662d74bc788743f9ca058581f1e",
+    ("chain", "graph-kwise"): "57eec581657d016dca5d575bde86081ccd47bef2071e6b2bd5f6cab8ffe6856c",
+    ("chain", "line-full"): "6297ede520d191447e4d3ab53658efe01f79c442a6d50aeb73a79c46f11ced94",
+    ("chain", "line-kwise"): "09e03fa1a2b6ff33c443b0fcb2557167d06efd9079af5b13657ec1073e5575c4",
+    ("greedy", "graph-full"): "91b871caab6dfb243370fb5be643d74e3e40a1b958666ba1c4ccca6afd6d30c7",
+    ("greedy", "graph-kwise"): "92aa321d90933162fd8a5f71bc93f6c5d7eedd21f75313ea25f1d40c7f273a92",
+    ("greedy", "line-full"): "e0e16d5ee88d9aeee075079d0180ac13022b5e93755d9e8669b69ec5c90c316e",
+    ("greedy", "line-kwise"): "6c8bd24ffdf244b4c7990989d53ca154456241dc0d536d1791d11ca834a1b630",
+}
+
+
+def _pin_setting(setting):
+    """(graph, ordering, rank_map) of one pinned setting."""
+    shape, ordering = setting.split("-")
+    g = gen_bounded_degree(derive_subseed(SEED, b"trace-pin:" + shape.encode()), 30, 4)
+    kwise = ordering == "kwise"
+    if shape == "graph":
+        return g, KWiseIndependent(4, next_prime(g.n**3)) if kwise else FullPseudorandom(), None
+    lg, edges = line_graph(g)
+    universe = g.n * g.n
+    kind = KWiseIndependent(4, next_prime(universe + 1)) if kwise else FullPseudorandom()
+    edge_key = rank_key_fn(SEED, kind, universe)
+    packed = [u * g.n + v for u, v in edges]
+    return lg, kind, lambda i: edge_key(packed[i])
+
+
+@pytest.mark.parametrize("name,setting", sorted(TRACE_PINNED))
+def test_pinned_traces(name, setting):
+    rule = {"chain": chain_rule, "greedy": greedy_rule}[name]
+    g, kind, rank_map = _pin_setting(setting)
+    digest = hashlib.sha256()
+    for v in range(g.n):
+        out, trace = eval_local(g, v, rule, SEED, kind, rank_map=rank_map)
+        assert out == trace.outputs[v]
+        outputs = sorted(trace.outputs.items())
+        digest.update(b"%d %r %r %d\n" % (v, outputs, trace.evaluation_order, trace.probes))
+        for cap in (1, 2, 3, 5):
+            try:
+                _, capped = eval_local(g, v, rule, SEED, kind, cap, rank_map=rank_map)
+            except TruncationError as exc:
+                digest.update(b"T %d %d\n" % (cap, exc.probes))
+            else:
+                digest.update(b"D %d %d\n" % (cap, len(capped.evaluation_order)))
+    assert digest.hexdigest() == TRACE_PINNED[name, setting]

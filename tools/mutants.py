@@ -11,7 +11,9 @@ refactor has to restate the mutant), if a named test does not pass on the
 unmutated copy, or if any named test still passes under its mutant.  Each
 pytest run is killed after TIMEOUT_S seconds; a mutant whose run is killed
 counts as caught, since its tests did not pass (one made the closure walk
-loop without bound).  Standard library only; run it from anywhere:
+loop without bound).  Each run prints its wall time and the script prints
+its total, so a log shows how much of a time budget the table uses.
+Standard library only; run it from anywhere:
 
     python3 tools/mutants.py
 """
@@ -24,6 +26,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -42,6 +45,7 @@ class Mutant(NamedTuple):
 BALLSBINS = "src/lcakit/ballsbins.py"
 CLI = "src/lcakit/cli.py"
 COLORING = "src/lcakit/coloring.py"
+ENGINE = "src/lcakit/engine.py"
 EXPLORATION = "src/lcakit/exploration.py"
 GRAPHS = "src/lcakit/graphs.py"
 MATCHING = "src/lcakit/matching.py"
@@ -274,12 +278,39 @@ MUTANTS = [
     ),
     Mutant(
         "deps-iteration-skips-undecided",
-        "src/lcakit/engine.py",
-        "        return map(self._pair, self._ids)",
-        "        return ((w, self._outputs[w]) for w in self._ids if w in self._outputs)",
+        ENGINE,
+        "            if w not in outputs:\n                return w\n",
+        "            if w not in outputs:\n                continue\n",
         (
             "tests/test_engine.py::TestEvalLocal::test_two_vertex_chain_hand_case",
-            "tests/test_engine.py::TestDeps::test_reading_an_undecided_entry_names_it",
+            "tests/test_engine.py::TestEvalLocal::test_rule_without_stop_decides_its_closure",
+            "tests/test_engine.py::test_pinned_traces[chain-graph-full]",
+        ),
+    ),
+    Mutant(
+        "engine-ignores-stop",
+        ENGINE,
+        '    stop = getattr(rule, "stop", None)\n',
+        "    stop = None\n",
+        (
+            "tests/test_engine.py::TestEvalLocal::test_greedy_decides_within_closure",
+            "tests/test_engine.py::TestEvalLocal::test_deps_end_at_the_first_stopping_output",
+            "tests/test_engine.py::test_pinned_traces[greedy-line-full]",
+        ),
+    ),
+    Mutant(
+        "engine-cuts-before-the-stopping-output",
+        ENGINE,
+        "            deps.append((w, out))\n"
+        "            if stop is not None and stop(out):\n"
+        "                break\n",
+        "            if stop is not None and stop(out):\n"
+        "                break\n"
+        "            deps.append((w, out))\n",
+        (
+            "tests/test_engine.py::TestEvalLocal::test_deps_end_at_the_first_stopping_output",
+            "tests/test_engine.py::TestRankMap::test_line_graph_with_edge_ranks_matches_matching",
+            "tests/test_engine.py::test_pinned_traces[greedy-line-kwise]",
         ),
     ),
     Mutant(
@@ -577,8 +608,10 @@ MUTANTS = [
 assert all(m.tests for m in MUTANTS), "every mutant names the tests that must fail"
 
 
-def _run_tests(work: Path, tests: list[str]) -> set[str] | None:
-    """Node ids among ``tests`` that passed, or None if the run timed out."""
+def _run_tests(work: Path, tests: list[str]) -> tuple[set[str] | None, float]:
+    """Node ids among ``tests`` that passed, or None if the run timed out, and
+    the run's wall time in seconds."""
+    start = time.perf_counter()
     env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider", *tests]
     proc = subprocess.Popen(
@@ -590,11 +623,14 @@ def _run_tests(work: Path, tests: list[str]) -> set[str] | None:
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)  # pytest and any worker it forked
         proc.communicate()
-        return None
-    return {line.split(" ", 1)[1].strip() for line in out.splitlines() if line.startswith("PASSED ")}
+        return None, time.perf_counter() - start
+    passed = {line.split(" ", 1)[1].strip() for line in out.splitlines() if line.startswith("PASSED ")}
+    return passed, time.perf_counter() - start
 
 
 def main() -> int:
+    sys.stdout.reconfigure(line_buffering=True)  # a run cut by a timeout still logs its lines
+    start = time.perf_counter()
     problems = []
     with tempfile.TemporaryDirectory(prefix="lcakit-mutants-") as tmp:
         work = Path(tmp)
@@ -612,34 +648,35 @@ def main() -> int:
             return 1
 
         named = sorted({t for m in MUTANTS for t in m.tests})
-        passed = _run_tests(work, named)
+        passed, secs = _run_tests(work, named)
         missing = named if passed is None else [t for t in named if t not in passed]
         for t in missing:
             problems.append(f"unmutated copy: {t} did not pass")
         if problems:
             print("\n".join(problems))
             return 1
-        print(f"unmutated copy: {len(named)} named tests pass")
+        print(f"unmutated copy: {len(named)} named tests pass ({secs:.1f} s)")
 
         for m in MUTANTS:
             target = work / m.path
             original = target.read_text()
             target.write_text(original.replace(m.old, m.new))
             try:
-                passed = _run_tests(work, list(m.tests))
+                passed, secs = _run_tests(work, list(m.tests))
             finally:
                 target.write_text(original)
             if passed is None:
-                print(f"caught   {m.name} (killed after {TIMEOUT_S} s)")
+                print(f"caught   {m.name} (killed after {secs:.1f} s)")
                 continue
             survivors = [t for t in m.tests if t in passed]
             if survivors:
                 problems.append(f"{m.name}: still pass: {survivors}")
-                print(f"SURVIVED {m.name}")
+                print(f"SURVIVED {m.name} ({secs:.1f} s)")
             else:
-                print(f"caught   {m.name} ({len(m.tests)} tests fail)")
+                print(f"caught   {m.name} ({len(m.tests)} tests fail, {secs:.1f} s)")
     for p in problems:
         print(p)
+    print(f"total {time.perf_counter() - start:.1f} s for {len(MUTANTS)} mutants")
     return 1 if problems else 0
 
 
