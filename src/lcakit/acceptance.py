@@ -34,10 +34,11 @@ from .exploration import (
     Binomial,
     Regular,
     TreeStatsSpec,
+    explore_sizes,
     gw_sizes,
     lower_bound_experiment,
+    stats_from_sizes,
     tail_slope,
-    tree_stats,
 )
 from .graphs import (
     gen_binomial,
@@ -227,18 +228,20 @@ def criterion_4() -> tuple[bool, dict]:
             spec = TreeStatsSpec(
                 gen, n, 5, instances=10, queries_per_instance=1000, cap=4096
             )
-            ts = tree_stats(spec, derive_subseed(seed, b"c4:%s:%d" % (gen.encode(), n)))
-            points[(gen, n)] = ts
+            sizes, truncated = explore_sizes(
+                spec, derive_subseed(seed, b"c4:%s:%d" % (gen.encode(), n))
+            )
+            points[(gen, n)] = stats_from_sizes(sizes, truncated=truncated)
     mean_ratios = {}
     ratio_max = 0.0
     truncations = 0
     for gen in ("bounded", "binomial"):
-        means = [points[(gen, 2**p)].mean_size for p in (10, 12, 14, 16)]
+        means = [points[(gen, 2**p)]["mean"] for p in (10, 12, 14, 16)]
         mean_ratios[gen] = max(means) / min(means)
         for p in (10, 12, 14, 16):
             ts = points[(gen, 2**p)]
-            ratio_max = max(ratio_max, ts.max_size / math.log2(2**p))
-            truncations += ts.truncated_trials
+            ratio_max = max(ratio_max, ts["max"] / math.log2(2**p))
+            truncations += ts["truncated_trials"]
     passed = (
         all(r < 2.0 for r in mean_ratios.values())
         and ratio_max <= MAX_OVER_LOG_BOUND
@@ -248,9 +251,9 @@ def criterion_4() -> tuple[bool, dict]:
         "mean_ratio_by_generator": mean_ratios,
         "max_over_log": ratio_max,
         "bound": MAX_OVER_LOG_BOUND,
-        "means": {f"{g}:{2**p}": points[(g, 2**p)].mean_size
+        "means": {f"{g}:{2**p}": points[(g, 2**p)]["mean"]
                   for g in ("bounded", "binomial") for p in (10, 12, 14, 16)},
-        "maxima": {f"{g}:{2**p}": points[(g, 2**p)].max_size
+        "maxima": {f"{g}:{2**p}": points[(g, 2**p)]["max"]
                    for g in ("bounded", "binomial") for p in (10, 12, 14, 16)},
         "truncations": truncations,
     }
@@ -454,10 +457,10 @@ def criterion_10() -> tuple[bool, dict]:
             bc = gen_bipartite_choices(
                 derive_subseed(seed, b"c10:%s:inst:%d" % (tag, i)), n, m, 2, rule.scheme
             )
-            _, prof = ballsbins.run_global(
+            _, loads = ballsbins.run_global(
                 bc, rule, derive_subseed(seed, b"c10:%s:ranks:%d" % (tag, i))
             )
-            out.append(prof.max_load)
+            out.append(max(loads))
     within = sum(1 for x in ll_max if x <= bound) / len(ll_max)
     ll_mean = sum(ll_max) / len(ll_max)
     agl_mean = sum(agl_max) / len(agl_max)

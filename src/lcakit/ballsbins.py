@@ -25,9 +25,8 @@ built after it in one sweep; balls over the cap are then answered by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from .exploration import _closure, ilog2ceil
 from .graphs import BipartiteChoices
@@ -58,23 +57,6 @@ class Assignment(NamedTuple):
     bin: int
     failed: bool
     probes: int
-
-
-@dataclass(frozen=True)
-class LoadProfile:
-    loads: tuple[int, ...]
-    max_load: int
-
-    @classmethod
-    def from_loads(cls, loads: Sequence[int]):
-        return cls(tuple(loads), max(loads, default=0))
-
-    @classmethod
-    def from_assignments(cls, m_bins: int, assignments: Sequence[Assignment]):
-        loads = [0] * m_bins
-        for a in assignments:
-            loads[a.bin] += 1
-        return cls.from_loads(loads)
 
 
 class DecisionRule:
@@ -188,8 +170,9 @@ def run_global(
     rule: DecisionRule,
     seed: Seed,
     kind: OrderingKind = FullPseudorandom(),
-) -> tuple[list[Assignment], LoadProfile]:
-    """The oracle: place every ball in true arrival order. Never fails."""
+) -> tuple[list[Assignment], tuple[int, ...]]:
+    """The oracle: every ball's bin, placed in true arrival order, and each
+    bin's final load. Never fails."""
     rule.validate(bc)
     key_of = rank_key_fn(seed, kind, max(bc.n_balls, 1))
     order = sorted(range(bc.n_balls), key=key_of)
@@ -201,7 +184,7 @@ def run_global(
         u = choose(bc, b, load_of)
         loads[u] += 1
         out[b] = Assignment(b, u, False, bc.d)
-    return out, LoadProfile.from_loads(loads)
+    return out, tuple(loads)
 
 
 def _fallback_bin(bc: BipartiteChoices, ball: int, seed: Seed) -> int:
@@ -256,8 +239,9 @@ def assign_all(
     seed: Seed,
     kind: OrderingKind = FullPseudorandom(),
     cap: int | None = None,
-) -> tuple[list[Assignment], LoadProfile]:
-    """Every ball's :func:`assign_query` answer, from one pass in rank order.
+) -> tuple[list[Assignment], tuple[int, ...]]:
+    """Every ball's :func:`assign_query` answer, and each bin's load under
+    those answers, from one pass in rank order.
 
     * Order: every ball's rank key comes from one
       :func:`~lcakit.ranks.rank_keys` call.
@@ -286,7 +270,7 @@ def assign_all(
       :func:`assign_query` itself, so its fallback bin and truncated-walk
       probes are the cold query's.  Their walks read the batch's keys, so
       no ball is hashed twice.
-    * Profile: the pass's loads, with one unit moved for each over-cap
+    * Loads: the pass's loads, with one unit moved for each over-cap
       ball from the bin the pass placed it in to the bin it was answered
       with, as its answer replaces the swept one.
     """
@@ -344,4 +328,4 @@ def assign_all(
         a = out[b] = assign_query(bc, b, rule, seed, kind, cap, _key_of=key_of)
         loads[placed[b]] -= 1
         loads[a.bin] += 1
-    return out, LoadProfile.from_loads(loads)
+    return out, tuple(loads)

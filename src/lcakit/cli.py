@@ -185,11 +185,11 @@ def _ballsbins_worker(n, m, d, rule_name, caps, cap, seed: Seed, trial: int) -> 
         derive_subseed(seed, b"instance:%d" % trial), n, m, d, rule.scheme, capacities=caps
     )
     rseed = derive_subseed(seed, b"ranks:%d" % trial)
-    assignments, profile = ballsbins.assign_all(bc, rule, rseed, cap=cap)
+    assignments, loads = ballsbins.assign_all(bc, rule, rseed, cap=cap)
     return {
         "trial": trial,
         "failures": sum(1 for a in assignments if a.failed),
-        "max_load": profile.max_load,
+        "max_load": max(loads),
         "probes_mean": sum(a.probes for a in assignments) / max(1, len(assignments)),
         "probes_max": max((a.probes for a in assignments), default=0),
         "rows": [(a.ball, a.bin, int(a.failed), a.probes) for a in assignments],
@@ -282,8 +282,8 @@ def tree_stats_cmd(ctx, generator, n, d, instances, queries, cap, thresholds):
     stats = stats_from_sizes(sizes, thresh, truncated)
     _finish(
         ctx,
-        stats.to_dict(),
-        csv_rows=lambda: (["size", "count"], list(stats.sizes)),
+        stats,
+        csv_rows=lambda: (["size", "count"], stats["histogram"]),
         thresholds=list(thresh),
     )
 
@@ -318,15 +318,13 @@ def gw_sim_cmd(ctx, mode, d, L, n, q, trials, cap, slope_range):
     chunks = [range(trials * i // jobs, trials * (i + 1) // jobs) for i in range(jobs)]
     worker = partial(_gw_chunk_sizes, ctx.obj["seed"], offspring, cap)
     sizes = [s for chunk in _parallel_map(worker, [c for c in chunks if c], jobs) for s in chunk]
-    stats = stats_from_sizes(sizes)
+    results = stats_from_sizes(sizes)
     try:
-        slope = tail_slope(sizes, lo, hi)
+        results["tail_slope"] = tail_slope(sizes, lo, hi)
     except ValueError:
-        slope = None
-    results = stats.to_dict()
-    results["tail_slope"] = slope
+        results["tail_slope"] = None
     results["mode"] = mode
-    _finish(ctx, results, csv_rows=lambda: (["size", "count"], list(stats.sizes)), q=q)
+    _finish(ctx, results, csv_rows=lambda: (["size", "count"], results["histogram"]), q=q)
 
 
 @main.command("matching")

@@ -430,8 +430,8 @@ class QueryState:
     # -- phase 4: brute force ---------------------------------------------------
 
     def _run_phase4(self, edges: tuple[int, ...]) -> None:
-        if self._phase_cache.get((4, edges)):
-            return
+        # not cached: success commits every open item of ``edges``, so no
+        # later query reaches this component with an item still open
         items = sorted(
             {w for c in edges for w in self._items_of(c) if w not in self.final}
         )
@@ -443,7 +443,6 @@ class QueryState:
                 for v, val in extra.items():
                     self.final[v] = val
                     self.phase_of[v] = 4
-                self._phase_cache[(4, edges)] = True
                 return
         raise ColoringFailure(
             "brute-force",

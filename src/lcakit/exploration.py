@@ -297,48 +297,27 @@ class TreeStatsSpec:
     cap: int = 1 << 14
 
 
-@dataclass(frozen=True)
-class TreeStats:
-    """Histogram summary of relevant-set sizes over many trials."""
-
-    trials: int
-    sizes: tuple[tuple[int, int], ...]  # (size, count), ascending
-    max_size: int
-    mean_size: float
-    tail: tuple[tuple[int, float], ...]  # (threshold, Pr[size > threshold])
-    truncated_trials: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "mean": self.mean_size,
-            "max": self.max_size,
-            "histogram": [[s, c] for s, c in self.sizes],
-            "tail": [[t, p] for t, p in self.tail],
-            "truncated_trials": self.truncated_trials,
-        }
-
-
 def stats_from_sizes(
     sizes: Sequence[int], thresholds: Sequence[int] = (), truncated: int = 0
-) -> TreeStats:
+) -> dict:
+    """The report's summary of relevant-set sizes: ``trials``, their ``mean``
+    and ``max``, ``histogram`` (``[size, count]``, ascending), ``tail`` (one
+    ``[threshold, Pr[size > threshold]]`` per threshold) and ``truncated_trials``
+    (the caller's count of capped walks)."""
     if not sizes:
         raise ValueError("need at least one trial")
     hist: dict[int, int] = {}
     for s in sizes:
         hist[s] = hist.get(s, 0) + 1
     trials = len(sizes)
-    tail = tuple(
-        (t, sum(c for s, c in hist.items() if s > t) / trials) for t in thresholds
-    )
-    return TreeStats(
-        trials=trials,
-        sizes=tuple(sorted(hist.items())),
-        max_size=max(sizes),
-        mean_size=sum(sizes) / trials,
-        tail=tail,
-        truncated_trials=truncated,
-    )
+    return {
+        "trials": trials,
+        "mean": sum(sizes) / trials,
+        "max": max(sizes),
+        "histogram": [[s, c] for s, c in sorted(hist.items())],
+        "tail": [[t, sum(c for s, c in hist.items() if s > t) / trials] for t in thresholds],
+        "truncated_trials": truncated,
+    }
 
 
 def _generate(generator: str, seed: Seed, n: int, d: int) -> LocalGraph:
@@ -377,13 +356,6 @@ def explore_sizes(spec: TreeStatsSpec, seed: Seed) -> tuple[list[int], int]:
         sizes.extend(chunk)
         truncated += chunk_truncated
     return sizes, truncated
-
-
-def tree_stats(spec: TreeStatsSpec, seed: Seed) -> TreeStats:
-    """Run a full exploration experiment and aggregate the histogram (with
-    no tail thresholds)."""
-    sizes, truncated = explore_sizes(spec, seed)
-    return stats_from_sizes(sizes, truncated=truncated)
 
 
 def lower_bound_experiment(path_len: int, trials: int, seed: Seed) -> float:

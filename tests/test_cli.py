@@ -361,6 +361,40 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "--failure-budget" in result.output
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["tree-stats", "--generator", "binomial", "--n", "5", "--d", "5"],
+             "binomial generator needs d < n"),
+            # small --trials and --cap, so a run that got past the check ends soon
+            (["gw-sim", "--mode", "binomial", "--n", "100", "--q", "0.01",
+              "--trials", "5", "--cap", "100"],
+             "binomial mode needs n*q < 1 (subcritical)"),
+        ],
+        ids=["tree-stats", "gw-sim"],
+    )
+    def test_binomial_flags_out_of_range_are_usage_errors(self, runner, args, message):
+        result = runner.invoke(main, ["--seed", SEED_HEX] + args)
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize(
+        "kind,text,message",
+        [
+            ("coloring", "hypergraph m=4\ne 0 x\n", "line 2: non-integer vertex id in 'e 0 x'"),
+            ("ksat", "p cnf 2 1\n1 2\n", "line 2: clause must end with 0"),
+        ],
+        ids=["coloring", "ksat"],
+    )
+    def test_malformed_input_file_is_usage_error(self, runner, tmp_path, kind, text, message):
+        path = tmp_path / "instance.txt"
+        path.write_text(text)
+        result = runner.invoke(main, ["--seed", SEED_HEX, kind, "--input", str(path)])
+        assert result.exit_code == 2, result.output
+        assert f"cannot load {path}: {message}" in result.output
+        assert "Traceback" not in result.output
+
 
 class TestSubcommandBehavior:
     def test_matching_single_edge_query(self, runner):
@@ -450,6 +484,46 @@ class TestSubcommandBehavior:
              "--n", "200", "--m", "200", "--d", "2", "--trials", "2"],
         )
         assert json.loads(result.stdout)["results"]["mismatches"] == 0
+
+    def test_matching_over_its_budget_writes_the_report_then_exits_4(self, runner, tmp_path):
+        # a cap of 1 cuts every trial's full matching
+        out = tmp_path / "report.json"
+        result = runner.invoke(
+            main,
+            ["--seed", SEED_HEX, "--out", str(out), "matching", "--n", "200", "--d", "5",
+             "--cap", "1", "--trials", "2"],
+        )
+        assert result.exit_code == EXIT_BUDGET, result.output
+        assert "failure budget exceeded: 2/2" in result.output
+        report = json.loads(out.read_text())
+        assert report["results"] == {"trials": 2, "failures": 2, "per_trial": []}
+
+    def test_matching_edge_over_its_cap_counts_a_failure(self, runner):
+        # (1, 15) is an edge of both trials' graphs, and a cap of 1 cuts
+        # its query in each
+        result = run_ok(
+            runner,
+            ["--seed", SEED_HEX, "matching", "--n", "60", "--d", "3", "--trials", "2",
+             "--edge", "1,15", "--cap", "1", "--failure-budget", "1"],
+        )
+        results = json.loads(result.stdout)["results"]
+        assert results == {"trials": 2, "failures": 2, "per_trial": []}
+
+    @pytest.mark.parametrize(
+        "target,compared,failures",
+        # a failed matching trial is not compared; a failed ball is
+        [("matching", 0, 2), ("balls-bins", 200, 150)],
+        ids=["matching", "balls-bins"],
+    )
+    def test_oracle_compare_counts_capped_failures(self, runner, target, compared, failures):
+        result = run_ok(
+            runner,
+            ["--seed", SEED_HEX, "oracle-compare", "--target", target, "--n", "100",
+             "--m", "100", "--d", "2", "--trials", "2", "--cap", "1"],
+        )
+        results = json.loads(result.stdout)["results"]
+        assert (results["compared"], results["failures"]) == (compared, failures)
+        assert results["mismatches"] == 0
 
     def test_gw_sim_mean_in_report(self, runner):
         result = run_ok(runner, ["--seed", SEED_HEX, "gw-sim", "--trials", "2000"])

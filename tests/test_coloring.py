@@ -346,6 +346,23 @@ class TestFailureModes:
                 state.query(x)
         assert err.value.reason == "tree_cap"
 
+    def test_component_bound_failure_is_counted_failure(self):
+        # item 31 of this strict instance resolves in phase 2; its phase-1
+        # survivor component has 2 constraints, so a bound of 1 cuts it
+        problem = PROBLEMS["coloring"]
+        inst = problem.generate(derive_subseed(SEED, b"p23:coloring:11"), 400, 40, 19, 1)
+        rseed = derive_subseed(SEED, b"p23r:11")
+        assert problem.state(inst, rseed).query(31)[1] == 2
+        shared = problem.state(inst, rseed)
+        for state in (shared, shared, problem.state(inst, rseed)):  # reruns fail alike
+            state.comp1_bound = 1
+            with pytest.raises(ColoringFailure) as err:
+                state.query(31)
+            assert err.value.reason == "component"
+            assert str(err.value) == (
+                "phase-1 survivor component around item 31 exceeded 1 constraints"
+            )
+
     def test_failure_carries_reason(self):
         try:
             raise ColoringFailure("component", "too big")

@@ -21,7 +21,6 @@ from lcakit.exploration import (
     sample_gw_tree,
     stats_from_sizes,
     tail_slope,
-    tree_stats,
 )
 from lcakit.graphs import (
     LocalGraph,
@@ -224,29 +223,45 @@ class TestGwSampler:
         assert abs(var - n * q * (1 - q)) < 0.2
 
 
+def _tree_stats(spec):
+    sizes, truncated = explore_sizes(spec, SEED)
+    return stats_from_sizes(sizes, truncated=truncated)
+
+
 class TestTreeStats:
     def test_single_isolated_vertex(self):
         spec = TreeStatsSpec("bounded", 1, 1, instances=1, queries_per_instance=1)
-        ts = tree_stats(spec, SEED)
-        assert ts.sizes == ((1, 1),)
-        assert ts.mean_size == 1.0 and ts.max_size == 1
+        ts = _tree_stats(spec)
+        assert ts["histogram"] == [[1, 1]]
+        assert ts["mean"] == 1.0 and ts["max"] == 1
 
     def test_histogram_mass_equals_trials(self):
         spec = TreeStatsSpec("bounded", 64, 3, instances=2, queries_per_instance=40)
-        ts = tree_stats(spec, SEED)
-        assert sum(c for _, c in ts.sizes) == ts.trials == 80
+        ts = _tree_stats(spec)
+        assert sum(c for _, c in ts["histogram"]) == ts["trials"] == 80
+
+    def test_histogram_is_ascending(self):
+        ts = stats_from_sizes([3, 1, 4, 1, 2], truncated=2)
+        assert ts == {
+            "trials": 5,
+            "mean": 2.2,
+            "max": 4,
+            "histogram": [[1, 2], [2, 1], [3, 1], [4, 1]],
+            "tail": [],
+            "truncated_trials": 2,
+        }
 
     def test_tail_exceedance(self):
         ts = stats_from_sizes([1, 2, 3, 4], thresholds=(2, 4))
-        assert ts.tail == ((2, 0.5), (4, 0.0))
+        assert ts["tail"] == [[2, 0.5], [4, 0.0]]
 
     def test_deterministic_dict(self):
         spec = TreeStatsSpec("binomial", 64, 3, instances=2, queries_per_instance=20)
-        assert tree_stats(spec, SEED).to_dict() == tree_stats(spec, SEED).to_dict()
+        assert _tree_stats(spec) == _tree_stats(spec)
 
     def test_unknown_generator(self):
         with pytest.raises(ValueError, match="unknown generator"):
-            tree_stats(TreeStatsSpec("bogus", 8, 2), SEED)
+            explore_sizes(TreeStatsSpec("bogus", 8, 2), SEED)
 
     def test_sizes_are_explore_sizes_where_the_cap_cuts(self):
         # explore_sizes walks without building a RelevantSet; each trial's size

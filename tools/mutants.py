@@ -12,7 +12,9 @@ unmutated copy, or if any named test still passes under its mutant.  Each
 pytest run is killed after TIMEOUT_S seconds; a mutant whose run is killed
 counts as caught, since its tests did not pass (one made the closure walk
 loop without bound).  Each run prints its wall time and the script prints
-its total, so a log shows how much of a time budget the table uses.
+its total, so a log shows how much of a time budget the table uses.  A
+SIGTERM (a CI ``timeout``) ends the script as a normal exit would: the
+running pytest's process group is killed and the temporary copy removed.
 Standard library only; run it from anywhere:
 
     python3 tools/mutants.py
@@ -20,6 +22,7 @@ Standard library only; run it from anywhere:
 
 from __future__ import annotations
 
+import contextlib
 import os
 import shutil
 import signal
@@ -604,6 +607,73 @@ MUTANTS = [
             "tests/test_ranks.py::TestKeyedHashing::test_frozen_stream",
         ),
     ),
+    Mutant(
+        "stats-histogram-unsorted",
+        EXPLORATION,
+        "for s, c in sorted(hist.items())]",
+        "for s, c in hist.items()]",
+        ("tests/test_exploration.py::TestTreeStats::test_histogram_is_ascending",),
+    ),
+    Mutant(
+        "component-bound-never-fires",
+        COLORING,
+        "                        if len(comp) > self.comp1_bound:\n",
+        "                        if False:\n",
+        ("tests/test_coloring.py::TestFailureModes::test_component_bound_failure_is_counted_failure",),
+    ),
+    Mutant(
+        "tree-stats-binomial-check-dropped",
+        CLI,
+        'if generator == "binomial" and d >= n:',
+        "if False:",
+        ("tests/test_cli.py::TestExitCodes::test_binomial_flags_out_of_range_are_usage_errors[tree-stats]",),
+    ),
+    Mutant(
+        "gw-sim-supercritical-check-dropped",
+        CLI,
+        'if mode == "binomial" and n * q >= 1:',
+        "if False:",
+        ("tests/test_cli.py::TestExitCodes::test_binomial_flags_out_of_range_are_usage_errors[gw-sim]",),
+    ),
+    Mutant(
+        "input-load-lets-value-error-through",
+        CLI,
+        "except (OSError, ValueError) as exc:",
+        "except OSError as exc:",
+        (
+            "tests/test_cli.py::TestExitCodes::test_malformed_input_file_is_usage_error[coloring]",
+            "tests/test_cli.py::TestExitCodes::test_malformed_input_file_is_usage_error[ksat]",
+        ),
+    ),
+    Mutant(
+        "matching-budget-never-exits",
+        CLI,
+        '        click.echo(f"failure budget exceeded: {failures}/{trials}", err=True)\n'
+        "        sys.exit(EXIT_BUDGET)\n",
+        '        click.echo(f"failure budget exceeded: {failures}/{trials}", err=True)\n',
+        ("tests/test_cli.py::TestSubcommandBehavior::test_matching_over_its_budget_writes_the_report_then_exits_4",),
+    ),
+    Mutant(
+        "matching-edge-failure-uncounted",
+        CLI,
+        "                failures += 1\n                continue\n            rows.append(",
+        "                continue\n            rows.append(",
+        ("tests/test_cli.py::TestSubcommandBehavior::test_matching_edge_over_its_cap_counts_a_failure",),
+    ),
+    Mutant(
+        "oracle-compare-matching-failure-uncounted",
+        CLI,
+        "                failures += 1\n                continue\n            compared += g.edge_count\n",
+        "                continue\n            compared += g.edge_count\n",
+        ("tests/test_cli.py::TestSubcommandBehavior::test_oracle_compare_counts_capped_failures[matching]",),
+    ),
+    Mutant(
+        "oracle-compare-ball-failure-uncounted",
+        CLI,
+        "                if b.failed:\n                    failures += 1\n",
+        "                if b.failed:\n                    pass\n",
+        ("tests/test_cli.py::TestSubcommandBehavior::test_oracle_compare_counts_capped_failures[balls-bins]",),
+    ),
 ]
 assert all(m.tests for m in MUTANTS), "every mutant names the tests that must fail"
 
@@ -620,15 +690,23 @@ def _run_tests(work: Path, tests: list[str]) -> tuple[set[str] | None, float]:
     )
     try:
         out, _ = proc.communicate(timeout=TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)  # pytest and any worker it forked
-        proc.communicate()
+    except BaseException as exc:  # the timeout, or the exit that SIGTERM raises
+        with contextlib.suppress(ProcessLookupError):  # the group may be gone already
+            os.killpg(proc.pid, signal.SIGKILL)  # pytest and any worker it forked
+        proc.wait()
+        if not isinstance(exc, subprocess.TimeoutExpired):
+            raise
         return None, time.perf_counter() - start
     passed = {line.split(" ", 1)[1].strip() for line in out.splitlines() if line.startswith("PASSED ")}
     return passed, time.perf_counter() - start
 
 
+def _exit_on_sigterm(signum, frame):
+    sys.exit(128 + signum)  # unwinds through _run_tests and TemporaryDirectory
+
+
 def main() -> int:
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     sys.stdout.reconfigure(line_buffering=True)  # a run cut by a timeout still logs its lines
     start = time.perf_counter()
     problems = []
